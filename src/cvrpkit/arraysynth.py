@@ -10,12 +10,13 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .grid import AngularGrid, sph_to_unit
 from .masks import FOUR_PI
+from .metrics import _integrate
 from .pattern import PolarizedPattern
 
 
@@ -136,11 +137,7 @@ def synthesize_directivity(spec: ArraySpec,
     if grid is None:
         grid = AngularGrid.standard()
     intensity = _radiation_intensity(spec, grid)
-    s = np.sin(np.radians(grid.theta_deg))
-    mod = grid.theta_deg % 180.0
-    s[(mod <= 1e-9) | (mod >= 180.0 - 1e-9)] = 0.0
-    domega = math.radians(grid.dtheta_deg) * math.radians(grid.dphi_deg)
-    total = domega * float(np.sum(intensity * s[:, None]))
+    total = _integrate(grid, intensity.sum(axis=1))
     d_lin = FOUR_PI * intensity / total
     with np.errstate(divide="ignore"):
         return 10.0 * np.log10(d_lin)

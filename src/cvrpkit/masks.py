@@ -94,6 +94,12 @@ def mask_solid_angle(m: SphericalMask) -> float:
     return m.solid_angle_sr
 
 
+def _cap_distance_deg(center: Direction, grid: AngularGrid) -> np.ndarray:
+    """Great-circle distance (degrees) from center to every grid node."""
+    return angular_distance_deg(grid.theta_deg[:, None], grid.phi_deg[None, :],
+                                center.theta_deg, center.phi_deg)
+
+
 def membership(m: SphericalMask, grid: AngularGrid) -> np.ndarray:
     """Boolean node-center membership matrix on a standard grid."""
     if grid.convention is not Convention.STANDARD:
@@ -102,10 +108,9 @@ def membership(m: SphericalMask, grid: AngularGrid) -> np.ndarray:
         raise ValueError("point masks have no grid membership; use cvrp_point")
     if m.kind is MaskKind.FULL_SPHERE:
         return np.ones((grid.n_theta, grid.n_phi), dtype=bool)
-    tt, pp = np.meshgrid(grid.theta_deg, grid.phi_deg, indexing="ij")
     if m.kind is MaskKind.CAP:
-        dist = angular_distance_deg(tt, pp, m.center.theta_deg, m.center.phi_deg)
-        return dist <= m.half_angle_deg + ANGLE_TOL_DEG
+        return _cap_distance_deg(m.center, grid) <= m.half_angle_deg + ANGLE_TOL_DEG
+    tt, pp = np.meshgrid(grid.theta_deg, grid.phi_deg, indexing="ij")
     in_theta = ((tt >= m.theta_min_deg - ANGLE_TOL_DEG)
                 & (tt <= m.theta_max_deg + ANGLE_TOL_DEG))
     extent = m.phi_extent_deg

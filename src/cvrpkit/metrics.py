@@ -1,10 +1,13 @@
 """Radiated-power metrics: TRP, PRP, CVRP, and FoV sweeps.
 
-All metrics share one discretization: an equispaced-grid Riemann sum of
-EIRP_theta + EIRP_phi weighted by sin(theta), with compensated (fsum)
-summation. CVRP normalizes by the mask's solid angle; the normalization
-uses the grid's own discretized coverage, rescaled so that a full-sphere
-mask reproduces TRP bit-exactly.
+Every metric is one quadrature on the node grid: numpy sums the
+integrand along phi within each theta ring, and a single math.fsum
+reduces the ring sums weighted by sin(theta) (exactly 0 on the pole
+rings), scaled by the cell solid angle dOmega. CVRP divides the masked
+power by the mask's area fraction: the same quadrature over per-ring
+member counts, over that of the grid's own coverage (n_phi per ring).
+A full-sphere mask has exactly those counts, so its area fraction is
+exactly 1.0 and full-sphere CVRP equals TRP bit for bit.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grid import ANGLE_TOL_DEG, AngularGrid, Convention, Direction
-from .masks import FOUR_PI, MaskKind, SphericalMask, membership
+from .masks import FOUR_PI, MaskKind, SphericalMask, _cap_distance_deg, membership
 from .pattern import PolarizedPattern, combined_eirp
 
 #: Cap half-angles of the default FoV sweep (degrees); 0 means point FoV.
@@ -62,22 +65,41 @@ def _require_standard(p: PolarizedPattern) -> None:
         raise ValueError("metrics require a standard-convention pattern")
 
 
-def _sin_theta(grid: AngularGrid) -> np.ndarray:
+def _integrate(grid: AngularGrid, ring_sums) -> float:
+    """Grid quadrature of a field given its per-ring sums along phi.
+
+    Rings are weighted by sin(theta), with the pole rings exactly 0, and
+    by the cell solid angle dOmega; one fsum runs over the ring partials.
+    """
     s = np.sin(np.radians(grid.theta_deg))
-    # Endpoint rings contribute exactly zero.
     mod = grid.theta_deg % 180.0
     s[(mod <= ANGLE_TOL_DEG) | (mod >= 180.0 - ANGLE_TOL_DEG)] = 0.0
-    return s
+    domega = math.radians(grid.dtheta_deg) * math.radians(grid.dphi_deg)
+    return domega * math.fsum((s * ring_sums).tolist())
 
 
-def _domega(grid: AngularGrid) -> float:
-    return math.radians(grid.dtheta_deg) * math.radians(grid.dphi_deg)
+def _area_fraction(member: np.ndarray, grid: AngularGrid) -> float:
+    """Quadrature weight of the member cells over the grid's coverage."""
+    w_mask = _integrate(grid, member.sum(axis=1))
+    if w_mask <= 0.0:
+        return 0.0
+    w_full = _integrate(grid, np.full(grid.n_theta, grid.n_phi))
+    return w_mask / w_full  # exactly 1.0 when every cell is a member
 
 
-def _weighted_power_sum(p: PolarizedPattern, weights: np.ndarray) -> float:
-    """fsum of weights * (EIRP_theta + EIRP_phi) * sin(theta) over all cells."""
-    terms = weights * p.total_mw * _sin_theta(p.grid)[:, None]
-    return math.fsum(terms.ravel())
+def _masked_cvrp(p: PolarizedPattern, member: np.ndarray) -> float:
+    area_scale = _area_fraction(member, p.grid)
+    if area_scale <= 0.0:
+        raise ValueError("mask covers no grid cells with nonzero quadrature weight")
+    power = _integrate(p.grid, np.where(member, p.total_mw, 0.0).sum(axis=1))
+    return power / (FOUR_PI * area_scale)
+
+
+def _require_extended(m: SphericalMask) -> None:
+    if m.kind is MaskKind.POINT:
+        raise ValueError("point masks are degenerate here; use cvrp_point")
+    if m.solid_angle_sr < 1e-12:
+        raise ValueError("mask solid angle is degenerate")
 
 
 def effective_solid_angle(m: SphericalMask, grid: AngularGrid) -> float:
@@ -86,11 +108,7 @@ def effective_solid_angle(m: SphericalMask, grid: AngularGrid) -> float:
     Scaled so that the full sphere maps to exactly 4*pi; this is the
     normalization area used by cvrp.
     """
-    member = membership(m, grid).astype(float)
-    s = _sin_theta(grid)[:, None]
-    w_mask = math.fsum((member * np.broadcast_to(s, member.shape)).ravel())
-    w_full = math.fsum(np.broadcast_to(s, member.shape).ravel())
-    return FOUR_PI * (w_mask / w_full)
+    return FOUR_PI * _area_fraction(membership(m, grid), grid)
 
 
 def cvrp(p: PolarizedPattern, m: SphericalMask) -> float:
@@ -100,20 +118,8 @@ def cvrp(p: PolarizedPattern, m: SphericalMask) -> float:
     rejected (use cvrp_point).
     """
     _require_standard(p)
-    if m.kind is MaskKind.POINT:
-        raise ValueError("point masks are degenerate here; use cvrp_point")
-    if m.solid_angle_sr < 1e-12:
-        raise ValueError("mask solid angle is degenerate")
-    member = membership(m, p.grid).astype(float)
-    s = _sin_theta(p.grid)[:, None]
-    shape = (p.grid.n_theta, p.grid.n_phi)
-    w_mask = math.fsum((member * np.broadcast_to(s, shape)).ravel())
-    if w_mask <= 0.0:
-        raise ValueError("mask covers no grid cells with nonzero quadrature weight")
-    w_full = math.fsum(np.broadcast_to(s, shape).ravel())
-    area_scale = w_mask / w_full  # exactly 1.0 for a full-sphere mask
-    power_sum = _weighted_power_sum(p, member)
-    return (_domega(p.grid) * power_sum) / (FOUR_PI * area_scale)
+    _require_extended(m)
+    return _masked_cvrp(p, membership(m, p.grid))
 
 
 def trp(p: PolarizedPattern) -> float:
@@ -136,8 +142,7 @@ def prp(p: PolarizedPattern, theta1_deg: float, theta2_deg: float) -> float:
     lo = np.maximum(g.theta_deg - half, theta1_deg)
     hi = np.minimum(g.theta_deg + half, theta2_deg)
     frac = np.clip((hi - lo) / g.dtheta_deg, 0.0, 1.0)
-    power_sum = _weighted_power_sum(p, frac[:, None])
-    return (_domega(g) * power_sum) / (FOUR_PI * 1.0)
+    return _integrate(g, frac * p.total_mw.sum(axis=1)) / FOUR_PI
 
 
 def prp_preset(p: PolarizedPattern, name: str) -> float:
@@ -156,18 +161,22 @@ def cvrp_point(p: PolarizedPattern, center: Direction) -> float:
 
 def cvrp_sweep(p: PolarizedPattern, center: Direction,
                half_angles_deg=DEFAULT_FOV_SWEEP) -> CvrpSweep:
-    """CVRP over a list of cap half-angles (0 means the point FoV)."""
+    """CVRP over a list of cap half-angles (0 means the point FoV).
+
+    Cap distances are computed once; each FoV thresholds them like cvrp."""
     _require_standard(p)
     fovs = [float(f) for f in half_angles_deg]
     if any(b >= a for a, b in zip(fovs, fovs[1:])):
         raise ValueError("half-angles must be strictly decreasing (no duplicates)")
     if any(f < 0 or f > 180 for f in fovs):
         raise ValueError("half-angles must lie in [0, 180] degrees")
+    dist = _cap_distance_deg(center, p.grid)
     entries = []
     for f in fovs:
         if f == 0.0:
             val = cvrp_point(p, center)
         else:
-            val = cvrp(p, SphericalMask.cap(center, f))
+            _require_extended(SphericalMask.cap(center, f))
+            val = _masked_cvrp(p, dist <= f + ANGLE_TOL_DEG)
         entries.append((f, val))
     return CvrpSweep(tuple(entries), pattern_label=p.label)

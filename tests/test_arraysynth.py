@@ -32,6 +32,12 @@ FAULT_CASES = [
 ]
 
 
+def ulps_apart(a: float, b: float) -> int:
+    """Number of representable doubles between two positive floats."""
+    ia, ib = np.array([a, b], dtype=np.float64).view(np.int64)
+    return abs(int(ia) - int(ib))
+
+
 class TestBeamTable:
     def test_endpoints_and_center(self):
         assert beam_angle_deg(1) == -45.0
@@ -190,6 +196,18 @@ class TestEirp:
                          failed_elements=failed)
         res = synthesize_eirp(spec, 251.188643150958)  # 24 dBm
         assert trp(res.pattern) == pytest.approx(res.reference_trp_mw, rel=1e-12)
+
+    @pytest.mark.parametrize("element", list(ElementModel), ids=lambda e: e.value)
+    def test_trp_within_ulps_of_reference(self, element):
+        # directivity and TRP share one quadrature; only the dB round trip
+        # and the 4*pi divisions separate trp from the reference
+        for scan in (-45.0, -13.5, 0.0, 27.0):
+            for failed in FAULT_CASES:
+                spec = ArraySpec(element=element, scan_angle_deg=scan,
+                                 failed_elements=failed)
+                for ref in (1.0, 251.188643150958):
+                    got = trp(synthesize_eirp(spec, ref).pattern)
+                    assert ulps_apart(got, ref) <= 4, (spec.describe(), ref, got)
 
     def test_theta_polarized(self, huygens_boresight):
         assert np.all(huygens_boresight.pattern.eirp_phi_mw == 0.0)

@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -212,3 +216,16 @@ class TestDeterminism:
         out = tmp_path / "filled.csv"
         assert cli_main(["fill", pattern_file, "-o", str(out)]) == 0
         assert out.read_bytes() == open(pattern_file, "rb").read()
+
+
+class TestModuleEntryPoints:
+    @pytest.mark.parametrize("module", ["cvrpkit", "cvrpkit.cli"])
+    def test_python_m_runs_command(self, module, pattern_file):
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [src, env.get("PYTHONPATH")]))
+        proc = subprocess.run([sys.executable, "-m", module, "trp", pattern_file],
+                              capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.startswith("TRP: ")

@@ -179,6 +179,9 @@ class TestEffectiveSolidAngle:
     def test_full_sphere_exact(self, std_grid):
         m = SphericalMask.full_sphere()
         assert effective_solid_angle(m, std_grid) == FOUR_PI
+        for step in (0.5, 3.0, 15.0):
+            g = AngularGrid.standard(step, step)
+            assert effective_solid_angle(m, g) == FOUR_PI
 
     def test_cap_near_analytic(self, std_grid):
         for beta in (30.0, 60.0, 90.0, 120.0):
@@ -209,6 +212,27 @@ class TestSweep:
         c = Direction(0.0, 0.0)
         s = cvrp_sweep(p, c, (180.0, 30.0, 0.0))
         assert s.cvrp_mw[-1] == cvrp_point(p, c)
+        assert s.cvrp_mw[0] == trp(p)
+
+    @pytest.mark.parametrize("center", [(0.0, 0.0), (180.0, 0.0), (45.0, 350.0),
+                                        (90.0, 0.0), (120.0, 181.5)])
+    @pytest.mark.parametrize("step, fovs", [
+        (1.5, DEFAULT_FOV_SWEEP),
+        # caps narrower than one 15 deg cell cover no nodes and are rejected
+        (15.0, (180.0, 120.0, 60.0, 30.0, 0.0)),
+    ])
+    def test_matches_single_mask_path(self, step, fovs, center):
+        # the one-pass sweep thresholds one distance field; every cap entry
+        # must agree with an independent cvrp over that cap
+        g = AngularGrid.standard(step, step)
+        p = pattern_from_function(lobe_mixture(np.random.default_rng(7)), g)
+        c = Direction(*center)
+        s = cvrp_sweep(p, c, fovs)
+        assert s.fov_deg == fovs
+        for f, v in s.entries:
+            if f > 0.0:
+                assert v == pytest.approx(cvrp(p, SphericalMask.cap(c, f)),
+                                          rel=1e-12)
         assert s.cvrp_mw[0] == trp(p)
 
     def test_label_carried(self, cosine_boresight):
