@@ -9,7 +9,7 @@ Two axis conventions are supported:
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -76,6 +76,8 @@ class AngularGrid:
     @classmethod
     def standard(cls, dtheta_deg: float = 1.5, dphi_deg: float = 1.5) -> "AngularGrid":
         """Full-sphere standard grid: theta 0..180, phi 0..360-dphi."""
+        if not (dtheta_deg > 0 and dphi_deg > 0):
+            raise ValueError("grid steps must be positive")
         n_t = round(180.0 / dtheta_deg)
         n_p = round(360.0 / dphi_deg)
         if abs(n_t * dtheta_deg - 180.0) > ANGLE_TOL_DEG:

@@ -6,7 +6,7 @@ over linear power; dB conversion happens only at I/O boundaries.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -77,9 +77,9 @@ def isotropic(eirp_mw: float = 1.0, grid: AngularGrid | None = None,
     return PolarizedPattern(grid, half, half.copy(), frequency_hz, label)
 
 
-def _rel_diff(a: float, b: float) -> float:
-    scale = max(abs(a), abs(b), 1e-300)
-    return abs(a - b) / scale
+def _rel_diff(a, b):
+    scale = np.maximum(np.maximum(np.abs(a), np.abs(b)), 1e-300)
+    return np.abs(a - b) / scale
 
 
 def remap_to_standard(p: PolarizedPattern) -> PolarizedPattern:
@@ -88,6 +88,8 @@ def remap_to_standard(p: PolarizedPattern) -> PolarizedPattern:
     A sample at distributed (theta < 0, phi) lands at standard
     (-theta, phi + 180); non-negative theta samples land unchanged.
     Directions never measured stay zero-filled and flagged unmeasured.
+    Samples landing on one standard cell must agree to a relative 1e-9;
+    the first in row-major source order is kept.
     """
     g = p.grid
     if g.convention is not Convention.DISTRIBUTED:
@@ -97,52 +99,51 @@ def remap_to_standard(p: PolarizedPattern) -> PolarizedPattern:
         raise ValueError("phi step must divide 180 degrees for remapping")
     out_grid = AngularGrid.standard(dt, dp)
     n_t, n_p = out_grid.n_theta, out_grid.n_phi
+
+    back = g.theta_deg < -ANGLE_TOL_DEG
+    t_std = np.where(back, -g.theta_deg, g.theta_deg)
+    it = np.rint(t_std / dt).astype(np.intp)
+    off = (it >= n_t) | (np.abs(it * dt - t_std) > ANGLE_TOL_DEG)
+    if off.any():
+        theta = float(g.theta_deg[off.argmax()])
+        raise ValueError(f"theta={theta} deg does not land on the standard grid")
+
+    rows, cols = np.nonzero(p.measured_mask())  # measured cells, row-major
+    p_std = (g.phi_deg[cols] + np.where(back[rows], 180.0, 0.0)) % 360.0
+    jt = np.rint(p_std / dp).astype(np.intp) % n_p
+    off = np.abs((jt * dp - p_std + 180.0) % 360.0 - 180.0) > ANGLE_TOL_DEG
+    if off.any():
+        phi = float(g.phi_deg[cols[off.argmax()]])
+        raise ValueError(f"phi={phi} deg does not land on the standard grid")
+
+    target = it[rows] * n_p + jt
+    vt = p.eirp_theta_mw[rows, cols]
+    vp = p.eirp_phi_mw[rows, cols]
+    cells, first, group = np.unique(target, return_index=True, return_inverse=True)
+    clash = ((_rel_diff(vt[first][group], vt) > _REL_TOL)
+             | (_rel_diff(vp[first][group], vp) > _REL_TOL))
+    if clash.any():
+        i, j = divmod(int(target[clash.argmax()]), n_p)
+        raise ValueError(f"conflicting duplicate samples at standard "
+                         f"(theta={i * dt}, phi={j * dp}) deg")
     et = np.zeros((n_t, n_p))
     ep = np.zeros((n_t, n_p))
     meas = np.zeros((n_t, n_p), dtype=bool)
-
-    src_meas = p.measured_mask()
-    for i, theta in enumerate(g.theta_deg):
-        if theta >= -ANGLE_TOL_DEG:
-            t_std, p_off = theta, 0.0
-        else:
-            t_std, p_off = -theta, 180.0
-        it = round(t_std / dt)
-        if it >= n_t or abs(it * dt - t_std) > ANGLE_TOL_DEG:
-            raise ValueError(f"theta={theta} deg does not land on the standard grid")
-        for j, phi in enumerate(g.phi_deg):
-            if not src_meas[i, j]:
-                continue
-            p_std = (phi + p_off) % 360.0
-            jt = round(p_std / dp) % n_p
-            if abs((jt * dp - p_std + 180.0) % 360.0 - 180.0) > ANGLE_TOL_DEG:
-                raise ValueError(f"phi={phi} deg does not land on the standard grid")
-            vt, vp = p.eirp_theta_mw[i, j], p.eirp_phi_mw[i, j]
-            if meas[it, jt]:
-                if _rel_diff(et[it, jt], vt) > _REL_TOL or _rel_diff(ep[it, jt], vp) > _REL_TOL:
-                    raise ValueError(
-                        f"conflicting duplicate samples at standard "
-                        f"(theta={it * dt}, phi={jt * dp}) deg"
-                    )
-            else:
-                et[it, jt] = vt
-                ep[it, jt] = vp
-                meas[it, jt] = True
+    et.flat[cells] = vt[first]
+    ep.flat[cells] = vp[first]
+    meas.flat[cells] = True
 
     # Poles are single physical directions: broadcast across phi.
-    for it in (0, n_t - 1):
-        cols = np.nonzero(meas[it])[0]
-        if cols.size == 0:
+    for i in (0, n_t - 1):
+        pole_cols = np.flatnonzero(meas[i])
+        if pole_cols.size == 0:
             continue
         for arr in (et, ep):
-            ref = arr[it, cols[0]]
-            for j in cols[1:]:
-                if _rel_diff(arr[it, j], ref) > _REL_TOL:
-                    raise ValueError(
-                        f"conflicting duplicate samples at pole theta={it * dt} deg"
-                    )
-            arr[it, :] = ref
-        meas[it, :] = True
+            ref = arr[i, pole_cols[0]]
+            if (_rel_diff(arr[i, pole_cols], ref) > _REL_TOL).any():
+                raise ValueError(f"conflicting duplicate samples at pole theta={i * dt} deg")
+            arr[i, :] = ref
+        meas[i, :] = True
 
     return PolarizedPattern(out_grid, et, ep, p.frequency_hz, p.label, meas)
 

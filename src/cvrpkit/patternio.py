@@ -9,8 +9,9 @@ absent from the file are marked unmeasured on load.
 
 from __future__ import annotations
 
+import io
 import math
-import os
+import re
 from typing import Iterable
 
 import numpy as np
@@ -20,6 +21,11 @@ from .metrics import CvrpSweep
 from .pattern import PolarizedPattern
 
 FORMAT_VERSION = "cvrp-pattern/1"
+
+_HEADER = "theta_deg,phi_deg,eirp_theta_dbm,eirp_phi_dbm"
+
+# A blank or "#" line with the newline before it, hidden from the bulk parser.
+_SKIPPED = re.compile(r"\n[^\S\n]*(?:#.*)?(?=\n|\Z)")
 
 _CONVENTIONS = {
     "standard": Convention.STANDARD,
@@ -37,16 +43,26 @@ def _dbm_str(mw: float) -> str:
     return _fmt(10.0 * math.log10(mw))
 
 
+def _number(text: str) -> float:
+    """float(text) limited to the ASCII syntax np.loadtxt parses (no "_")."""
+    t = text.strip()
+    if not t.isascii() or "_" in t:
+        raise ValueError(f"could not convert string to float: {text!r}")
+    return float(t)
+
+
 def _parse_dbm(text: str, path: str, lineno: int) -> float:
-    if text.strip().lower() in ("-inf", "-infinity"):
-        return 0.0
+    """Linear power of a dBm field; -inf (any spelling) is zero power."""
     try:
-        dbm = float(text)
+        dbm = _number(text)
     except ValueError:
         raise ValueError(f"{path}:{lineno}: non-numeric dBm value {text!r}") from None
-    if math.isnan(dbm) or math.isinf(dbm):
+    if math.isnan(dbm) or dbm == math.inf:
         raise ValueError(f"{path}:{lineno}: non-finite dBm value {text!r}")
-    return 10.0 ** (dbm / 10.0)
+    try:
+        return 10.0 ** (dbm / 10.0)
+    except OverflowError:
+        raise ValueError(f"{path}:{lineno}: dBm value {text!r} overflows linear power") from None
 
 
 def write_pattern(p: PolarizedPattern, path: str) -> None:
@@ -61,50 +77,38 @@ def write_pattern(p: PolarizedPattern, path: str) -> None:
     ]
     if p.label:
         lines.append(f"# label: {p.label}")
-    lines.append("theta_deg,phi_deg,eirp_theta_dbm,eirp_phi_dbm")
-    for i, theta in enumerate(g.theta_deg):
-        for j, phi in enumerate(g.phi_deg):
-            lines.append(f"{_fmt(theta)},{_fmt(phi)},"
-                         f"{_dbm_str(p.eirp_theta_mw[i, j])},"
-                         f"{_dbm_str(p.eirp_phi_mw[i, j])}")
+    lines.append(_HEADER)
+    phis = [_fmt(phi) for phi in g.phi_deg.tolist()]
+    for theta, et, ep in zip(map(_fmt, g.theta_deg.tolist()), p.eirp_theta_mw, p.eirp_phi_mw):
+        lines += [f"{theta},{phi},{_dbm_str(t)},{_dbm_str(q)}"
+                  for phi, t, q in zip(phis, et.tolist(), ep.tolist())]
     _write_text(path, "\n".join(lines) + "\n")
 
 
 def read_pattern(path: str) -> PolarizedPattern:
-    """Read a pattern file; absent (theta, phi) cells are unmeasured."""
+    """Read a pattern file; absent (theta, phi) cells are unmeasured.
+
+    Metadata lines precede the column header. The body is parsed in bulk;
+    a row that fails a check is reported as "path:lineno: ...".
+    """
     meta: dict[str, str] = {}
-    samples: dict[tuple[float, float], tuple[float, float]] = {}
-    header_seen = False
+    lineno = 0
     with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
+        for raw in iter(fh.readline, ""):
+            lineno += 1
             line = raw.strip()
             if not line:
                 continue
             if line.startswith("#"):
-                body = line[1:].strip()
-                if ":" in body:
-                    key, _, value = body.partition(":")
+                key, sep, value = line[1:].partition(":")
+                if sep:
                     meta[key.strip()] = value.strip()
                 continue
-            if not header_seen:
-                if line != "theta_deg,phi_deg,eirp_theta_dbm,eirp_phi_dbm":
-                    raise ValueError(f"{path}:{lineno}: unexpected column header {line!r}")
-                header_seen = True
-                continue
-            parts = line.split(",")
-            if len(parts) != 4:
-                raise ValueError(f"{path}:{lineno}: expected 4 columns, got {len(parts)}")
-            try:
-                theta = float(parts[0])
-                phi = float(parts[1])
-            except ValueError:
-                raise ValueError(f"{path}:{lineno}: non-numeric angle") from None
-            key = (theta, phi)
-            if key in samples:
-                raise ValueError(f"{path}:{lineno}: duplicate sample at "
-                                 f"theta={theta}, phi={phi}")
-            samples[key] = (_parse_dbm(parts[2], path, lineno),
-                            _parse_dbm(parts[3], path, lineno))
+            if line != _HEADER:
+                raise ValueError(f"{path}:{lineno}: unexpected column header {line!r}")
+            break
+        body = fh.read()
+    rows = _parse_rows(body, path, lineno)
 
     version = meta.get("format_version")
     if version != FORMAT_VERSION:
@@ -119,41 +123,94 @@ def read_pattern(path: str) -> PolarizedPattern:
         frequency = float(meta.get("frequency_hz", "28e9"))
     except (KeyError, ValueError):
         raise ValueError(f"{path}: missing or invalid step/frequency metadata") from None
-    if not samples:
+    if not (0 < dtheta < math.inf and 0 < dphi < math.inf):
+        raise ValueError(f"{path}: dtheta_deg and dphi_deg must be positive and finite")
+    if not rows.size:
         raise ValueError(f"{path}: file contains no samples")
 
-    thetas = sorted({t for t, _ in samples})
-    phis = sorted({ph for _, ph in samples})
-    theta_axis = _build_axis(thetas, dtheta, path, "theta")
-    phi_axis = _build_axis(phis, dphi, path, "phi")
+    theta_axis, i = _axis_indices(rows[:, 0], dtheta, path, "theta")
+    phi_axis, j = _axis_indices(rows[:, 1], dphi, path, "phi")
     grid = AngularGrid(theta_axis, phi_axis, dtheta, dphi, convention)
-
-    n_t, n_p = grid.n_theta, grid.n_phi
-    et = np.zeros((n_t, n_p))
-    ep = np.zeros((n_t, n_p))
-    meas = np.zeros((n_t, n_p), dtype=bool)
-    for (theta, phi), (vt, vp) in samples.items():
-        i = round((theta - theta_axis[0]) / dtheta)
-        j = round((phi - phi_axis[0]) / dphi)
-        et[i, j] = vt
-        ep[i, j] = vp
-        meas[i, j] = True
+    cells = i * grid.n_phi + j
+    et, ep = np.zeros((2, grid.n_theta, grid.n_phi))
+    meas = np.zeros(et.shape, dtype=bool)
+    meas.flat[cells] = True
+    if np.count_nonzero(meas) < cells.size:
+        _, first = np.unique(cells, return_index=True)
+        raise _row_error(body, path, lineno, np.setdiff1d(np.arange(cells.size), first)[0])
+    et.flat[cells] = rows[:, 2]
+    ep.flat[cells] = rows[:, 3]
     return PolarizedPattern(grid, et, ep, frequency, meta.get("label", ""), meas)
 
 
-def _build_axis(values: list[float], step: float, path: str, name: str) -> np.ndarray:
-    lo, hi = values[0], values[-1]
+def _parse_rows(body: str, path: str, lineno: int) -> np.ndarray:
+    """The body's rows as (theta, phi, mW, mW), parsed in one call.
+
+    On any failure the body is scanned line by line for the first bad row,
+    so the error is the one a line-by-line reader would raise.
+    """
+    data = _SKIPPED.sub("", "\n" + body)
+    if not data:
+        return np.empty((0, 4))
+    try:
+        rows = np.loadtxt(io.StringIO(data), delimiter=",", comments=None, ndmin=2)
+        # Angles must be finite; dBm may be -inf (zero power) but not +inf or NaN.
+        if (rows.shape[1] != 4 or not np.isfinite(rows[:, :2]).all()
+                or not (rows[:, 2:] < np.inf).all()):
+            raise ValueError
+        # Python's float power, not np.power, which differs in the last bit
+        # for some values; -inf dBm gives exactly 0.0.
+        mw = [10.0 ** x for x in (rows[:, 2:] / 10.0).ravel().tolist()]
+    except (ValueError, OverflowError):
+        raise _row_error(body, path, lineno) from None
+    rows[:, 2:] = np.reshape(mw, (-1, 2))
+    return rows
+
+
+def _row_error(body: str, path: str, lineno: int, duplicate: int = -1) -> ValueError:
+    """The error of the first body row that fails a per-row check, or of
+    the data row with index duplicate, whose cell an earlier row took."""
+    for raw in body.split("\n"):
+        lineno += 1
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        parts = line.split(",")
+        if len(parts) != 4:
+            return ValueError(f"{path}:{lineno}: expected 4 columns, got {len(parts)}")
+        try:
+            theta, phi = map(_number, parts[:2])
+        except ValueError:
+            return ValueError(f"{path}:{lineno}: non-numeric angle")
+        if not (math.isfinite(theta) and math.isfinite(phi)):
+            return ValueError(f"{path}:{lineno}: non-finite angle")
+        if duplicate == 0:
+            return ValueError(f"{path}:{lineno}: duplicate sample at theta={theta}, phi={phi}")
+        duplicate -= 1
+        try:
+            for text in parts[2:]:
+                _parse_dbm(text, path, lineno)
+        except ValueError as exc:
+            return exc
+    return ValueError(f"{path}: unreadable pattern body")
+
+
+def _axis_indices(values: np.ndarray, step: float, path: str,
+                  name: str) -> tuple[np.ndarray, np.ndarray]:
+    """The equispaced axis spanning values, and each value's index on it."""
+    uniq, inverse = np.unique(values, return_inverse=True)
+    lo, hi = float(uniq[0]), float(uniq[-1])
     n = round((hi - lo) / step)
     if abs(lo + n * step - hi) > ANGLE_TOL_DEG:
         raise ValueError(f"{path}: {name} span is not a multiple of the declared step")
-    axis = lo + np.arange(n + 1) * step
-    for v in values:
-        k = round((v - lo) / step)
-        if k < 0 or k > n or abs(lo + k * step - v) > ANGLE_TOL_DEG:
-            raise ValueError(f"{path}: {name}={v} is inconsistent with step {step}")
-    if axis.size < 2:
+    k = np.rint((uniq - lo) / step)
+    off = np.abs(lo + k * step - uniq) > ANGLE_TOL_DEG
+    if off.any():
+        raise ValueError(f"{path}: {name}={float(uniq[off.argmax()])} is "
+                         f"inconsistent with step {step}")
+    if n < 1:
         raise ValueError(f"{path}: {name} axis needs at least two samples")
-    return axis
+    return lo + np.arange(n + 1) * step, k.astype(np.intp)[inverse]
 
 
 def write_sweep_csv(rows_or_obj, path: str, columns: Iterable[str] | None = None,

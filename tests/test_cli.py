@@ -66,6 +66,12 @@ class TestSynth:
         assert code == 1
         assert "error:" in err
 
+    def test_zero_step_is_domain_error(self, tmp_path, capsys):
+        code, _, err = run(capsys, ["synth", "--element", "cosine", "--step-deg", "0",
+                                    "-o", str(tmp_path / "x.csv")])
+        assert code == 1
+        assert err.startswith("error:") and "Traceback" not in err
+
     def test_unknown_element_is_usage_error(self, tmp_path, capsys):
         code, _, _ = run(capsys, ["synth", "--element", "patch",
                                   "-o", str(tmp_path / "x.csv")])
@@ -126,6 +132,24 @@ class TestScalarCommands:
         code, _, err = run(capsys, ["cvrp", pattern_file, "--cap", "30",
                                     "--point", "0,0"])
         assert code == 1
+
+    @pytest.mark.parametrize("old, new, message", [
+        ("90,0,10,0", "90,0,4000,0", "bad.csv:9: dBm value '4000' overflows"),
+        ("dtheta_deg: 90", "dtheta_deg: 0", "bad.csv: dtheta_deg and dphi_deg must be positive"),
+    ])
+    def test_bad_number_in_file_is_domain_error(self, tmp_path, old, new, message):
+        from test_io import TOY
+        path = tmp_path / "bad.csv"
+        path.write_text(TOY.replace(old, new), encoding="utf-8")
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [src, env.get("PYTHONPATH")]))
+        proc = subprocess.run([sys.executable, "-m", "cvrpkit", "trp", str(path)],
+                              capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == 1
+        assert proc.stderr.startswith("error:") and message in proc.stderr
+        assert "Traceback" not in proc.stderr
 
     def test_missing_file_is_domain_error(self, capsys):
         code, _, err = run(capsys, ["trp", "/nonexistent/nope.csv"])

@@ -21,6 +21,12 @@ def test_standard_factory_spans_sphere():
     assert g.phi_spans_circle
 
 
+@pytest.mark.parametrize("dtheta, dphi", [(0.0, 1.5), (1.5, 0.0), (-1.5, 1.5), (float("nan"), 1.5)])
+def test_standard_factory_rejects_non_positive_step(dtheta, dphi):
+    with pytest.raises(ValueError, match="steps must be positive"):
+        AngularGrid.standard(dtheta, dphi)
+
+
 def test_non_equispaced_rejected():
     theta = np.array([0.0, 1.5, 3.1])
     with pytest.raises(ValueError, match="equispaced"):

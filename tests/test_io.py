@@ -30,6 +30,12 @@ theta_deg,phi_deg,eirp_theta_dbm,eirp_phi_dbm
 """
 
 
+BODY = TOY.partition("eirp_phi_dbm\n")[2]
+
+# TOY as the writer spells it: the writer prints 12 significant digits.
+GOLDEN = TOY.replace("2.8e+10", "28000000000")
+
+
 def write_toy(tmp_path, text=TOY, name="toy.csv"):
     f = tmp_path / name
     f.write_text(text, encoding="utf-8")
@@ -86,6 +92,76 @@ class TestReadPattern:
         with pytest.raises(ValueError, match="inconsistent with step"):
             read_pattern(write_toy(tmp_path, text))
 
+    @pytest.mark.parametrize("row, message", [
+        ("90,0,10", r"toy\.csv:9: expected 4 columns, got 3"),
+        ("90,0,10,0,0", r"toy\.csv:9: expected 4 columns, got 5"),
+        ("ninety,0,10,0", r"toy\.csv:9: non-numeric angle"),
+        ("90,nan,10,0", r"toy\.csv:9: non-finite angle"),
+        ("90,0,1_0,0", r"toy\.csv:9: non-numeric dBm value '1_0'"),
+        ("90,0,inf,0", r"toy\.csv:9: non-finite dBm value 'inf'"),
+        ("90,0,+inf,0", r"toy\.csv:9: non-finite dBm value '\+inf'"),
+        ("90,0,4000,0", r"toy\.csv:9: dBm value '4000' overflows linear power"),
+    ])
+    def test_bad_row_rejected_with_line(self, tmp_path, row, message):
+        text = TOY.replace("90,0,10,0", row)
+        with pytest.raises(ValueError, match=message):
+            read_pattern(write_toy(tmp_path, text))
+
+    def test_first_bad_row_reported(self, tmp_path):
+        text = TOY.replace("0,180,0,-inf", "0,180,9999,-inf") + "90,0,10\n"
+        with pytest.raises(ValueError, match=r"toy\.csv:8: dBm value '9999'"):
+            read_pattern(write_toy(tmp_path, text))
+
+    def test_near_duplicate_rejected(self, tmp_path):
+        # lands on the same cell as line 9 within the 1e-9 deg tolerance
+        text = TOY + "90.0000000001,0,3,3\n"
+        with pytest.raises(ValueError, match=r"toy\.csv:13: duplicate sample"):
+            read_pattern(write_toy(tmp_path, text))
+
+    @pytest.mark.parametrize("token", ["-inf", "-Infinity", "-INF", " -inf ", "-1e400"])
+    def test_negative_infinity_reads_as_zero_power(self, tmp_path, token):
+        text = TOY.replace("90,180,-inf,0", f"90,180,{token},0")
+        p = read_pattern(write_toy(tmp_path, text))
+        assert p.eirp_theta_mw[1, 1] == 0.0
+        assert p.measured is None
+
+    def test_blank_and_comment_lines_in_body_ignored(self, tmp_path):
+        lines = TOY.splitlines()
+        text = "\n".join(lines[:8] + ["", "   ", "# note: skipped", "  # indented"]
+                         + lines[8:] + ["", "# trailing"]) + "\n\n"
+        p = read_pattern(write_toy(tmp_path, text))
+        ref = read_pattern(write_toy(tmp_path, name="ref.csv"))
+        np.testing.assert_array_equal(p.eirp_theta_mw, ref.eirp_theta_mw)
+        np.testing.assert_array_equal(p.eirp_phi_mw, ref.eirp_phi_mw)
+        assert p.label == "" and p.measured is None
+        # skipped lines still count towards reported line numbers
+        with pytest.raises(ValueError, match=r"toy\.csv:13: non-numeric dBm"):
+            read_pattern(write_toy(tmp_path, text.replace("90,0,10,0", "90,0,ten,0")))
+
+    def test_crlf_line_endings(self, tmp_path):
+        f = tmp_path / "crlf.csv"
+        f.write_bytes(TOY.replace("\n", "\r\n").encode("utf-8"))
+        p = read_pattern(str(f))
+        ref = read_pattern(write_toy(tmp_path))
+        np.testing.assert_array_equal(p.eirp_theta_mw, ref.eirp_theta_mw)
+        np.testing.assert_array_equal(p.eirp_phi_mw, ref.eirp_phi_mw)
+        assert p.frequency_hz == ref.frequency_hz
+
+    @pytest.mark.parametrize("old, new, message", [
+        ("convention: standard", "convention: polar", r"toy\.csv: unknown convention 'polar'"),
+        ("# dphi_deg: 180\n", "", "missing or invalid step/frequency metadata"),
+        ("dtheta_deg: 90", "dtheta_deg: ninety", "missing or invalid step/frequency metadata"),
+        ("frequency_hz: 2.8e+10", "frequency_hz: high", "missing or invalid step/frequency"),
+        ("dtheta_deg: 90", "dtheta_deg: 0", r"toy\.csv: dtheta_deg and dphi_deg must be positive"),
+        ("dphi_deg: 180", "dphi_deg: -180", "must be positive"),
+        ("dphi_deg: 180", "dphi_deg: nan", "must be positive"),
+        (BODY, "", r"toy\.csv: file contains no samples"),
+        ("dtheta_deg: 90", "dtheta_deg: 70", r"toy\.csv: theta span is not a multiple of the declared step"),
+    ])
+    def test_bad_metadata_rejected(self, tmp_path, old, new, message):
+        with pytest.raises(ValueError, match=message):
+            read_pattern(write_toy(tmp_path, TOY.replace(old, new)))
+
     def test_distributed_convention(self, tmp_path):
         text = TOY.replace("convention: standard", "convention: distributed")
         text = text.replace("180,0,-10,-inf\n180,180,-10,-inf\n",
@@ -96,6 +172,11 @@ class TestReadPattern:
 
 
 class TestRoundTrip:
+    def test_golden_bytes(self, tmp_path):
+        f = tmp_path / "out.csv"
+        write_pattern(read_pattern(write_toy(tmp_path, GOLDEN)), str(f))
+        assert f.read_bytes() == GOLDEN.encode("utf-8")
+
     def test_write_read_write_byte_identical(self, tmp_path, cosine_boresight):
         p = cosine_boresight.pattern
         f1 = tmp_path / "a.csv"

@@ -37,6 +37,37 @@ def set_cell(p, i, j, vt, vp):
     return PolarizedPattern(p.grid, et, ep, p.frequency_hz, p.label, p.measured)
 
 
+def remap_oracle(p):
+    """Loop form of remap_to_standard (its checks left out), the reference
+    for the array version: the first measured sample in row-major source
+    order fills a standard cell, and each pole row takes the value of its
+    first measured column."""
+    g = p.grid
+    dt, dp = g.dtheta_deg, g.dphi_deg
+    out = AngularGrid.standard(dt, dp)
+    n_t, n_p = out.n_theta, out.n_phi
+    et = np.zeros((n_t, n_p))
+    ep = np.zeros((n_t, n_p))
+    meas = np.zeros((n_t, n_p), dtype=bool)
+    src_meas = p.measured_mask()
+    for i, theta in enumerate(g.theta_deg):
+        t_std, p_off = (theta, 0.0) if theta >= -1e-9 else (-theta, 180.0)
+        it = round(t_std / dt)
+        for j, phi in enumerate(g.phi_deg):
+            jt = round(((phi + p_off) % 360.0) / dp) % n_p
+            if src_meas[i, j] and not meas[it, jt]:
+                et[it, jt] = p.eirp_theta_mw[i, j]
+                ep[it, jt] = p.eirp_phi_mw[i, j]
+                meas[it, jt] = True
+    for it in (0, n_t - 1):
+        cols = np.nonzero(meas[it])[0]
+        if cols.size:
+            et[it, :] = et[it, cols[0]]
+            ep[it, :] = ep[it, cols[0]]
+            meas[it, :] = True
+    return et, ep, meas
+
+
 class TestRemap:
     def test_negative_theta_reflects_azimuth(self):
         p = make_distributed(0.0)
@@ -115,6 +146,52 @@ class TestRemap:
         p = set_cell(p, i1, j1, 7.0, 0.5)
         with pytest.raises(ValueError, match="conflicting duplicate"):
             remap_to_standard(p)
+
+    def test_conflicting_pole_samples_rejected(self):
+        p = make_distributed(1.0)
+        # every phi of the theta = 0 row is the north pole
+        i = np.where(p.grid.theta_deg == 0.0)[0][0]
+        j = np.where(p.grid.phi_deg == 42.0)[0][0]
+        p = set_cell(p, i, j, 0.9, 0.5)
+        with pytest.raises(ValueError, match="conflicting duplicate samples at pole theta=0"):
+            remap_to_standard(p)
+
+    @pytest.mark.parametrize("theta0, phi0, dphi, message", [
+        (-170.5, 0.0, 1.5, r"theta=-170\.5 deg does not land on the standard grid"),
+        (-171.0, 0.5, 1.5, r"phi=0\.5 deg does not land on the standard grid"),
+        (-171.0, 0.0, 7.0, "phi step must divide 180 degrees"),
+    ])
+    def test_off_grid_axes_rejected(self, theta0, phi0, dphi, message):
+        theta = theta0 + 1.5 * np.arange(200)
+        phi = np.arange(phi0, 180.0 + 1e-9, dphi)
+        g = AngularGrid(theta, phi, 1.5, dphi, Convention.DISTRIBUTED)
+        ones = np.ones((g.n_theta, g.n_phi))
+        with pytest.raises(ValueError, match=message):
+            remap_to_standard(PolarizedPattern(g, ones, ones.copy()))
+
+    def test_matches_loop_oracle(self):
+        # A random field on physical directions, so duplicates agree, with
+        # per-sample noise of 1e-12 relative: within the duplicate tolerance,
+        # but it shows which duplicate the remap keeps.
+        rng = np.random.default_rng(7)
+        p = make_distributed(0.0)
+        g = p.grid
+        std = AngularGrid.standard(g.dtheta_deg, g.dphi_deg)
+        field = rng.uniform(0.1, 10.0, (2, std.n_theta, std.n_phi))
+        field[:, 0, :] = field[:, 0, :1]
+        field[:, -1, :] = field[:, -1, :1]
+        tt, pp = np.meshgrid(g.theta_deg, g.phi_deg, indexing="ij")
+        it = np.rint(np.abs(tt) / g.dtheta_deg).astype(int)
+        jt = np.rint(np.where(tt < 0, pp + 180.0, pp) % 360.0 / g.dphi_deg).astype(int) % std.n_phi
+        vals = field[:, it, jt] * (1.0 + 1e-12 * rng.uniform(-1, 1, (2,) + tt.shape))
+        blind = (tt > 100) & (tt < 115) & (pp > 40) & (pp < 70)
+        p = PolarizedPattern(g, vals[0], vals[1], label="random", measured=~blind)
+        out = remap_to_standard(p)
+        et, ep, meas = remap_oracle(p)
+        assert not meas.all()
+        np.testing.assert_array_equal(out.eirp_theta_mw, et)
+        np.testing.assert_array_equal(out.eirp_phi_mw, ep)
+        np.testing.assert_array_equal(out.measured_mask(), meas)
 
     def test_standard_input_rejected(self):
         with pytest.raises(ValueError, match="distributed"):
