@@ -18,7 +18,7 @@ from .arraysynth import (
 )
 from .diagnostics import SweepComparison, compare_sweeps, sweep_to_plot_rows, to_dbm
 from .grid import AngularGrid, Convention, Direction
-from .masks import SphericalMask, apply_mask, mask_solid_angle, window_bounds
+from .masks import SphericalMask, apply_mask, window_bounds
 from .metrics import (
     DEFAULT_FOV_SWEEP,
     PRP_PRESETS,
@@ -33,7 +33,6 @@ from .metrics import (
 )
 from .pattern import (
     PolarizedPattern,
-    combined_eirp,
     fill_unmeasured,
     isotropic,
     remap_to_standard,

@@ -106,9 +106,7 @@ def steering_weights(spec: ArraySpec) -> np.ndarray:
     n = np.arange(spec.cols)
     phase = -2.0 * math.pi * spec.spacing_wl * n * math.sin(math.radians(spec.scan_angle_deg))
     w = np.tile(np.exp(1j * phase), (spec.rows, 1))
-    for idx in spec.failed_elements:
-        row, col = divmod(idx - 1, spec.cols)
-        w[row, col] = 0.0
+    w.flat[[idx - 1 for idx in spec.failed_elements]] = 0.0  # 1-based, row-major
     return w
 
 

@@ -15,7 +15,7 @@ import sys
 
 from . import arraysynth, diagnostics, metrics, pattern, patternio
 from .arraysynth import ArraySpec, ElementModel
-from .grid import Direction
+from .grid import AngularGrid, Direction
 from .masks import SphericalMask
 from .metrics import DEFAULT_FOV_SWEEP
 
@@ -57,12 +57,17 @@ def _spec_from_args(args) -> ArraySpec:
     )
 
 
+def _ref_mw(args) -> float:
+    try:
+        return 10.0 ** (args.trp_ref_dbm / 10.0)
+    except OverflowError:
+        raise ValueError(f"--trp-ref-dbm {args.trp_ref_dbm:g} overflows linear power") from None
+
+
 def _cmd_synth(args) -> int:
     spec = _spec_from_args(args)
-    ref_mw = 10.0 ** (args.trp_ref_dbm / 10.0)
-    from .grid import AngularGrid
     grid = AngularGrid.standard(args.step_deg, args.step_deg)
-    result = arraysynth.synthesize_eirp(spec, ref_mw, grid)
+    result = arraysynth.synthesize_eirp(spec, _ref_mw(args), grid)
     patternio.write_pattern(result.pattern, args.output)
     print(f"wrote {args.output} ({spec.describe()}, "
           f"reference TRP {args.trp_ref_dbm:g} dBm)")
@@ -86,8 +91,7 @@ def _cmd_fill(args) -> int:
 
 
 def _cmd_rotate(args) -> int:
-    p = pattern.fill_unmeasured(patternio.read_pattern(args.input), 0.0)
-    out = pattern.rotate_about_y(p, args.about_y)
+    out = pattern.rotate_about_y(_load_standard(args.input), args.about_y)
     patternio.write_pattern(out, args.output)
     print(f"wrote {args.output}")
     return 0
@@ -173,7 +177,7 @@ def _aligned_sweep(spec: ArraySpec, ref_mw: float) -> metrics.CvrpSweep:
 
 def _cmd_repro_fig5(args) -> int:
     os.makedirs(args.outdir, exist_ok=True)
-    ref_mw = 10.0 ** (args.trp_ref_dbm / 10.0)
+    ref_mw = _ref_mw(args)
     for element in (ElementModel.COSINE, ElementModel.HUYGENS):
         for scan in (0.0, -4.5, -45.0):
             spec = ArraySpec(element=element, scan_angle_deg=scan)
@@ -187,7 +191,7 @@ def _cmd_repro_fig5(args) -> int:
 
 def _cmd_repro_fig6(args) -> int:
     os.makedirs(args.outdir, exist_ok=True)
-    ref_mw = 10.0 ** (args.trp_ref_dbm / 10.0)
+    ref_mw = _ref_mw(args)
     element = ElementModel(args.element)
     fe = _parse_int_set(args.fe)
     all_on = ArraySpec(element=element, scan_angle_deg=args.scan)

@@ -72,8 +72,6 @@ def sweep_to_plot_rows(s) -> tuple[tuple[str, ...], list[tuple]]:
     if isinstance(s, SweepComparison):
         cols = ("fov_deg", "ref_dbm", "test_dbm", "delta_db", "flagged")
         exceeded = [abs(d) > s.threshold_db for d in s.delta_db]
-        rows = [(fov, r, t, d, flag)
-                for fov, r, t, d, flag in
-                zip(s.fov_deg, s.ref_cvrp_db, s.test_cvrp_db, s.delta_db, exceeded)]
+        rows = list(zip(s.fov_deg, s.ref_cvrp_db, s.test_cvrp_db, s.delta_db, exceeded))
         return cols, rows
     raise TypeError(f"cannot tabulate {type(s).__name__}")

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grid import ANGLE_TOL_DEG, AngularGrid, Convention, Direction, angular_distance_deg
+from .pattern import PolarizedPattern
 
 FOUR_PI = 4.0 * math.pi
 
@@ -89,11 +90,6 @@ def window_bounds(center: Direction, theta_fov_deg: float,
     return SphericalMask.window(tmin, tmax, pmin, pmax)
 
 
-def mask_solid_angle(m: SphericalMask) -> float:
-    """Analytic solid angle of the mask in steradians."""
-    return m.solid_angle_sr
-
-
 def _cap_distance_deg(center: Direction, grid: AngularGrid) -> np.ndarray:
     """Great-circle distance (degrees) from center to every grid node."""
     return angular_distance_deg(grid.theta_deg[:, None], grid.phi_deg[None, :],
@@ -122,10 +118,8 @@ def membership(m: SphericalMask, grid: AngularGrid) -> np.ndarray:
     return in_theta & in_phi
 
 
-def apply_mask(p, m: SphericalMask):
+def apply_mask(p: PolarizedPattern, m: SphericalMask) -> PolarizedPattern:
     """Zero both polarizations outside the mask; inside values unchanged."""
-    from .pattern import PolarizedPattern
-
     if m.kind is MaskKind.POINT:
         raise ValueError("point masks cannot be applied to a grid; use cvrp_point")
     if m.kind is MaskKind.FULL_SPHERE:

@@ -19,7 +19,7 @@ import numpy as np
 
 from .grid import ANGLE_TOL_DEG, AngularGrid, Convention, Direction
 from .masks import FOUR_PI, MaskKind, SphericalMask, _cap_distance_deg, membership
-from .pattern import PolarizedPattern, combined_eirp
+from .pattern import PolarizedPattern, sample_bilinear
 
 #: Cap half-angles of the default FoV sweep (degrees); 0 means point FoV.
 DEFAULT_FOV_SWEEP = (180.0, 165.0, 150.0, 135.0, 120.0, 105.0, 90.0,
@@ -33,6 +33,14 @@ PRP_PRESETS = {
 }
 
 
+def _check_fovs(fovs: list[float]) -> None:
+    """The sweep FoV rule: half-angles strictly decreasing, within [0, 180] deg."""
+    if not all(0.0 <= f <= 180.0 for f in fovs):  # NaN fails too
+        raise ValueError("sweep FoVs must lie in [0, 180] degrees")
+    if any(b >= a for a, b in zip(fovs, fovs[1:])):
+        raise ValueError("sweep FoVs must be strictly decreasing (no duplicates)")
+
+
 @dataclass(frozen=True)
 class CvrpSweep:
     """Ordered (FoV half-angle, CVRP) pairs for one pattern."""
@@ -41,11 +49,7 @@ class CvrpSweep:
     pattern_label: str = ""
 
     def __post_init__(self):
-        fovs = [f for f, _ in self.entries]
-        if any(b >= a for a, b in zip(fovs, fovs[1:])):
-            raise ValueError("sweep FoVs must be strictly decreasing")
-        if fovs and (fovs[0] > 180.0 or fovs[-1] < 0.0):
-            raise ValueError("sweep FoVs must lie in [0, 180] degrees")
+        _check_fovs([f for f, _ in self.entries])
         if any(v < 0 for _, v in self.entries):
             raise ValueError("CVRP values must be non-negative")
         object.__setattr__(self, "entries", tuple((float(f), float(v))
@@ -155,8 +159,9 @@ def prp_preset(p: PolarizedPattern, name: str) -> float:
 
 
 def cvrp_point(p: PolarizedPattern, center: Direction) -> float:
-    """Point-FoV CVRP (mW): the combined EIRP at the observation point."""
-    return combined_eirp(p, center)
+    """Point-FoV CVRP (mW): the EIRP at the observation point, i.e. the
+    sum of both bilinearly sampled polarizations."""
+    return sum(sample_bilinear(p, center))
 
 
 def cvrp_sweep(p: PolarizedPattern, center: Direction,
@@ -166,10 +171,7 @@ def cvrp_sweep(p: PolarizedPattern, center: Direction,
     Cap distances are computed once; each FoV thresholds them like cvrp."""
     _require_standard(p)
     fovs = [float(f) for f in half_angles_deg]
-    if any(b >= a for a, b in zip(fovs, fovs[1:])):
-        raise ValueError("half-angles must be strictly decreasing (no duplicates)")
-    if any(f < 0 or f > 180 for f in fovs):
-        raise ValueError("half-angles must lie in [0, 180] degrees")
+    _check_fovs(fovs)
     dist = _cap_distance_deg(center, p.grid)
     entries = []
     for f in fovs:

@@ -6,6 +6,7 @@ over linear power; dB conversion happens only at I/O boundaries.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,8 +40,11 @@ class PolarizedPattern:
         ep = np.ascontiguousarray(self.eirp_phi_mw, dtype=float)
         if et.shape != shape or ep.shape != shape:
             raise ValueError(f"EIRP matrices must have shape {shape}")
-        if np.any(et < 0) or np.any(ep < 0):
-            raise ValueError("EIRP values must be non-negative linear power")
+        # NaN fails both comparisons, so it is rejected with -inf and +inf.
+        if not (((et >= 0) & (et < np.inf)).all() and ((ep >= 0) & (ep < np.inf)).all()):
+            raise ValueError("EIRP values must be finite, non-negative linear power")
+        if not 0 < self.frequency_hz < math.inf:
+            raise ValueError("frequency_hz must be positive and finite")
         meas = self.measured
         if meas is not None:
             meas = np.ascontiguousarray(meas, dtype=bool)
@@ -162,51 +166,38 @@ def fill_unmeasured(p: PolarizedPattern, fill_mw: float = 0.0) -> PolarizedPatte
     return PolarizedPattern(p.grid, et, ep, p.frequency_hz, p.label, None)
 
 
-def _sample_component(values: np.ndarray, grid: AngularGrid,
-                      theta_deg: np.ndarray, phi_deg: np.ndarray) -> np.ndarray:
-    """Vectorized bilinear sampling of one polarization matrix."""
-    t0 = grid.theta_deg[0]
-    dt, dp = grid.dtheta_deg, grid.dphi_deg
-    n_t, n_p = grid.n_theta, grid.n_phi
-
-    tq = np.clip(np.asarray(theta_deg, dtype=float), grid.theta_deg[0], grid.theta_deg[-1])
-    ti = (tq - t0) / dt
-    i0 = np.floor(ti).astype(int)
-    ft = ti - i0
-    snap_t = ANGLE_TOL_DEG / dt
-    hi = ft > 1.0 - snap_t
-    i0[hi] += 1
-    ft[hi] = 0.0
-    ft[ft < snap_t] = 0.0
-    i0 = np.clip(i0, 0, n_t - 1)
-    i1 = np.minimum(i0 + 1, n_t - 1)
-
-    p0 = grid.phi_deg[0]
-    pq = np.asarray(phi_deg, dtype=float)
-    if grid.phi_spans_circle:
-        pj = ((pq - p0) % 360.0) / dp
+def _axis_nodes(q, axis: np.ndarray, step: float, wrap: bool):
+    """Bracketing node indices (k0, k1) and the fraction toward k1 of each
+    query on an equispaced axis. Queries within 1e-9 deg of a node snap to
+    it; off-axis queries wrap modulo 360 if wrap, else clamp to the ends."""
+    q = np.asarray(q, dtype=float)
+    if wrap:
+        x = ((q - axis[0]) % 360.0) / step
     else:
-        pj = (np.clip(pq, grid.phi_deg[0], grid.phi_deg[-1]) - p0) / dp
-    j0 = np.floor(pj).astype(int)
-    fp = pj - j0
-    snap_p = ANGLE_TOL_DEG / dp
-    hj = fp > 1.0 - snap_p
-    j0[hj] += 1
-    fp[hj] = 0.0
-    fp[fp < snap_p] = 0.0
-    if grid.phi_spans_circle:
-        j0 = j0 % n_p
-        j1 = (j0 + 1) % n_p
-    else:
-        j0 = np.clip(j0, 0, n_p - 1)
-        j1 = np.minimum(j0 + 1, n_p - 1)
+        x = (np.clip(q, axis[0], axis[-1]) - axis[0]) / step
+    k0 = np.floor(x).astype(int)
+    frac = x - k0
+    snap = ANGLE_TOL_DEG / step
+    hi = frac > 1.0 - snap
+    k0 += hi
+    frac[hi | (frac < snap)] = 0.0
+    n = axis.size
+    if wrap:
+        k0 = k0 % n
+        return k0, (k0 + 1) % n, frac
+    k0 = np.clip(k0, 0, n - 1)
+    return k0, np.minimum(k0 + 1, n - 1), frac
 
-    v00 = values[i0, j0]
-    v01 = values[i0, j1]
-    v10 = values[i1, j0]
-    v11 = values[i1, j1]
-    return ((1 - ft) * ((1 - fp) * v00 + fp * v01)
-            + ft * ((1 - fp) * v10 + fp * v11))
+
+def _sample(p: PolarizedPattern, theta_deg, phi_deg) -> tuple[np.ndarray, np.ndarray]:
+    """Vectorized bilinear samples of both polarizations; the bracketing
+    nodes and fractions are computed once for the two."""
+    g = p.grid
+    i0, i1, ft = _axis_nodes(theta_deg, g.theta_deg, g.dtheta_deg, wrap=False)
+    j0, j1, fp = _axis_nodes(phi_deg, g.phi_deg, g.dphi_deg, wrap=g.phi_spans_circle)
+    return tuple((1 - ft) * ((1 - fp) * v[i0, j0] + fp * v[i0, j1])
+                 + ft * ((1 - fp) * v[i1, j0] + fp * v[i1, j1])
+                 for v in (p.eirp_theta_mw, p.eirp_phi_mw))
 
 
 def sample_bilinear(p: PolarizedPattern, d: Direction) -> tuple[float, float]:
@@ -217,17 +208,8 @@ def sample_bilinear(p: PolarizedPattern, d: Direction) -> tuple[float, float]:
     """
     if p.grid.convention is not Convention.STANDARD:
         raise ValueError("sample_bilinear expects a standard-convention pattern")
-    t = np.array([d.theta_deg])
-    ph = np.array([d.phi_deg])
-    et = _sample_component(p.eirp_theta_mw, p.grid, t, ph)[0]
-    ep = _sample_component(p.eirp_phi_mw, p.grid, t, ph)[0]
-    return float(et), float(ep)
-
-
-def combined_eirp(p: PolarizedPattern, d: Direction) -> float:
-    """Total EIRP (mW) at a direction: sum of both polarizations."""
-    et, ep = sample_bilinear(p, d)
-    return et + ep
+    et, ep = _sample(p, [d.theta_deg], [d.phi_deg])
+    return float(et[0]), float(ep[0])
 
 
 def rotate_about_y(p: PolarizedPattern, alpha_deg: float) -> PolarizedPattern:
@@ -250,7 +232,6 @@ def rotate_about_y(p: PolarizedPattern, alpha_deg: float) -> PolarizedPattern:
     z = -u[..., 0] * sb + u[..., 2] * cb
     src = np.stack([x, u[..., 1], z], axis=-1)
     ts, ps = unit_to_sph(src)
-    et = _sample_component(p.eirp_theta_mw, g, ts.ravel(), ps.ravel()).reshape(tt.shape)
-    ep = _sample_component(p.eirp_phi_mw, g, ts.ravel(), ps.ravel()).reshape(tt.shape)
+    et, ep = (v.reshape(tt.shape) for v in _sample(p, ts.ravel(), ps.ravel()))
     label = f"{p.label} (rotated {alpha_deg:g} deg about y)" if p.label else ""
     return PolarizedPattern(g, et, ep, p.frequency_hz, label)

@@ -12,10 +12,10 @@ from __future__ import annotations
 import io
 import math
 import re
-from typing import Iterable
 
 import numpy as np
 
+from .diagnostics import SweepComparison, sweep_to_plot_rows
 from .grid import ANGLE_TOL_DEG, AngularGrid, Convention
 from .metrics import CvrpSweep
 from .pattern import PolarizedPattern
@@ -125,6 +125,8 @@ def read_pattern(path: str) -> PolarizedPattern:
         raise ValueError(f"{path}: missing or invalid step/frequency metadata") from None
     if not (0 < dtheta < math.inf and 0 < dphi < math.inf):
         raise ValueError(f"{path}: dtheta_deg and dphi_deg must be positive and finite")
+    if not 0 < frequency < math.inf:
+        raise ValueError(f"{path}: frequency_hz must be positive and finite")
     if not rows.size:
         raise ValueError(f"{path}: file contains no samples")
 
@@ -213,21 +215,12 @@ def _axis_indices(values: np.ndarray, step: float, path: str,
     return lo + np.arange(n + 1) * step, k.astype(np.intp)[inverse]
 
 
-def write_sweep_csv(rows_or_obj, path: str, columns: Iterable[str] | None = None,
-                    label: str = "") -> None:
-    """Write sweep/comparison rows; accepts (columns, rows) from
-    sweep_to_plot_rows, a CvrpSweep/SweepComparison, or explicit rows."""
-    from .diagnostics import sweep_to_plot_rows
-
-    if columns is None:
-        cols, rows = sweep_to_plot_rows(rows_or_obj)
-        if isinstance(rows_or_obj, CvrpSweep) and not label:
-            label = rows_or_obj.pattern_label
-    else:
-        cols, rows = tuple(columns), list(rows_or_obj)
-    lines = []
-    if label:
-        lines.append(f"# label: {label}")
+def write_sweep_csv(s: CvrpSweep | SweepComparison, path: str) -> None:
+    """Write a sweep (fov_deg,cvrp_dbm) or a comparison as CSV; a sweep's
+    pattern label is written as a "# label:" line."""
+    cols, rows = sweep_to_plot_rows(s)
+    label = s.pattern_label if isinstance(s, CvrpSweep) else ""
+    lines = [f"# label: {label}"] if label else []
     lines.append(",".join(cols))
     for row in rows:
         lines.append(",".join(_cell(v) for v in row))
@@ -255,11 +248,17 @@ def read_sweep_csv(path: str) -> CvrpSweep:
             parts = line.split(",")
             if len(parts) != 2:
                 raise ValueError(f"{path}:{lineno}: expected 2 columns")
-            fov = float(parts[0])
+            try:
+                fov = _number(parts[0])
+            except ValueError:
+                raise ValueError(f"{path}:{lineno}: non-numeric FoV {parts[0]!r}") from None
             entries.append((fov, _parse_dbm(parts[1], path, lineno)))
     if not entries:
         raise ValueError(f"{path}: no sweep rows found")
-    return CvrpSweep(tuple(entries), pattern_label=label)
+    try:
+        return CvrpSweep(tuple(entries), pattern_label=label)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def _cell(v) -> str:

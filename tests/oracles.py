@@ -11,7 +11,7 @@ import math
 
 import numpy as np
 
-from cvrpkit.grid import AngularGrid, sph_to_unit
+from cvrpkit.grid import ANGLE_TOL_DEG, AngularGrid, sph_to_unit, unit_to_sph
 from cvrpkit.pattern import PolarizedPattern
 
 FOUR_PI = 4.0 * math.pi
@@ -102,3 +102,69 @@ def mc_cap_mean(f, center_theta_deg: float, center_phi_deg: float,
     pts = local[:, 0:1] * e1 + local[:, 1:2] * e2 + local[:, 2:3] * axis
     samples = f(pts)
     return float(samples.mean()), float(samples.std(ddof=1) / math.sqrt(n_samples))
+
+
+def sample_component_reference(values: np.ndarray, grid: AngularGrid,
+                               theta_deg: np.ndarray, phi_deg: np.ndarray) -> np.ndarray:
+    """Bilinear sampling of one polarization matrix, as the library wrote
+    it when the theta and phi axes each had their own copy of the
+    floor/snap/clamp-or-wrap logic. sample_bilinear and rotate_about_y
+    must match it bit for bit."""
+    t0 = grid.theta_deg[0]
+    dt, dp = grid.dtheta_deg, grid.dphi_deg
+    n_t, n_p = grid.n_theta, grid.n_phi
+
+    tq = np.clip(np.asarray(theta_deg, dtype=float), grid.theta_deg[0], grid.theta_deg[-1])
+    ti = (tq - t0) / dt
+    i0 = np.floor(ti).astype(int)
+    ft = ti - i0
+    snap_t = ANGLE_TOL_DEG / dt
+    hi = ft > 1.0 - snap_t
+    i0[hi] += 1
+    ft[hi] = 0.0
+    ft[ft < snap_t] = 0.0
+    i0 = np.clip(i0, 0, n_t - 1)
+    i1 = np.minimum(i0 + 1, n_t - 1)
+
+    p0 = grid.phi_deg[0]
+    pq = np.asarray(phi_deg, dtype=float)
+    if grid.phi_spans_circle:
+        pj = ((pq - p0) % 360.0) / dp
+    else:
+        pj = (np.clip(pq, grid.phi_deg[0], grid.phi_deg[-1]) - p0) / dp
+    j0 = np.floor(pj).astype(int)
+    fp = pj - j0
+    snap_p = ANGLE_TOL_DEG / dp
+    hj = fp > 1.0 - snap_p
+    j0[hj] += 1
+    fp[hj] = 0.0
+    fp[fp < snap_p] = 0.0
+    if grid.phi_spans_circle:
+        j0 = j0 % n_p
+        j1 = (j0 + 1) % n_p
+    else:
+        j0 = np.clip(j0, 0, n_p - 1)
+        j1 = np.minimum(j0 + 1, n_p - 1)
+
+    v00 = values[i0, j0]
+    v01 = values[i0, j1]
+    v10 = values[i1, j0]
+    v11 = values[i1, j1]
+    return ((1 - ft) * ((1 - fp) * v00 + fp * v01)
+            + ft * ((1 - fp) * v10 + fp * v11))
+
+
+def rotate_about_y_reference(p: PolarizedPattern,
+                             alpha_deg: float) -> tuple[np.ndarray, np.ndarray]:
+    """(EIRP_theta, EIRP_phi) of rotate_about_y(p, alpha_deg), resampled
+    with sample_component_reference; the rotation geometry is the library's."""
+    g = p.grid
+    tt, pp = np.meshgrid(g.theta_deg, g.phi_deg, indexing="ij")
+    u = sph_to_unit(tt, pp)
+    beta = np.radians(-alpha_deg)
+    cb, sb = np.cos(beta), np.sin(beta)
+    x = u[..., 0] * cb + u[..., 2] * sb
+    z = -u[..., 0] * sb + u[..., 2] * cb
+    ts, ps = unit_to_sph(np.stack([x, u[..., 1], z], axis=-1))
+    return tuple(sample_component_reference(v, g, ts.ravel(), ps.ravel()).reshape(tt.shape)
+                 for v in (p.eirp_theta_mw, p.eirp_phi_mw))

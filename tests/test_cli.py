@@ -72,6 +72,20 @@ class TestSynth:
         assert code == 1
         assert err.startswith("error:") and "Traceback" not in err
 
+    @pytest.mark.parametrize("command", [["synth", "--element", "cosine", "-o"],
+                                         ["repro-fig5", "--outdir"],
+                                         ["repro-fig6", "--outdir"]])
+    @pytest.mark.parametrize("dbm, message", [
+        ("4000", "--trp-ref-dbm 4000 overflows linear power"),
+        ("3070", "EIRP values must be finite"),  # 1e307 mW times the peak gain is inf
+    ])
+    def test_huge_reference_is_domain_error(self, tmp_path, capsys, command, dbm, message):
+        out = tmp_path / "out"
+        code, _, err = run(capsys, command + [str(out), "--trp-ref-dbm", dbm])
+        assert code == 1
+        assert err.startswith("error:") and message in err and "Traceback" not in err
+        assert not out.is_file() and not (out.is_dir() and any(out.iterdir()))
+
     def test_unknown_element_is_usage_error(self, tmp_path, capsys):
         code, _, _ = run(capsys, ["synth", "--element", "patch",
                                   "-o", str(tmp_path / "x.csv")])
@@ -192,8 +206,16 @@ class TestPipelines:
                                     "-o", out_csv])
         assert code == 0
         assert "FLAGGED" in out
-        header = open(out_csv).readline().strip()
+        header = Path(out_csv).read_text().splitlines()[0]
         assert header == "fov_deg,ref_dbm,test_dbm,delta_db,flagged"
+
+    def test_diagnose_bad_fov_is_domain_error(self, tmp_path, capsys):
+        bad = tmp_path / "bad.csv"
+        bad.write_text("fov_deg,cvrp_dbm\nabc,1\n")
+        code, _, err = run(capsys, ["diagnose", "--ref", str(bad), "--test", str(bad)])
+        assert code == 1
+        assert err.startswith(f"error: {bad}:2: non-numeric FoV 'abc'")
+        assert "Traceback" not in err
 
     def test_diagnose_self_clean(self, tmp_path, capsys):
         swp = str(tmp_path / "s.csv")
@@ -239,7 +261,7 @@ class TestDeterminism:
     def test_fill_round_trip_identity(self, tmp_path, pattern_file):
         out = tmp_path / "filled.csv"
         assert cli_main(["fill", pattern_file, "-o", str(out)]) == 0
-        assert out.read_bytes() == open(pattern_file, "rb").read()
+        assert out.read_bytes() == Path(pattern_file).read_bytes()
 
 
 class TestModuleEntryPoints:

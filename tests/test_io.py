@@ -155,6 +155,10 @@ class TestReadPattern:
         ("dtheta_deg: 90", "dtheta_deg: 0", r"toy\.csv: dtheta_deg and dphi_deg must be positive"),
         ("dphi_deg: 180", "dphi_deg: -180", "must be positive"),
         ("dphi_deg: 180", "dphi_deg: nan", "must be positive"),
+        ("frequency_hz: 2.8e+10", "frequency_hz: 0", r"toy\.csv: frequency_hz must be positive"),
+        ("frequency_hz: 2.8e+10", "frequency_hz: -2.8e+10", r"toy\.csv: frequency_hz must be positive"),
+        ("frequency_hz: 2.8e+10", "frequency_hz: nan", r"toy\.csv: frequency_hz must be positive"),
+        ("frequency_hz: 2.8e+10", "frequency_hz: inf", r"toy\.csv: frequency_hz must be positive"),
         (BODY, "", r"toy\.csv: file contains no samples"),
         ("dtheta_deg: 90", "dtheta_deg: 70", r"toy\.csv: theta span is not a multiple of the declared step"),
     ])
@@ -238,8 +242,7 @@ class TestSweepCsv:
     def test_zero_power_written_as_inf_token(self, tmp_path):
         s = CvrpSweep(((90.0, 1.0), (30.0, 0.0)))
         f = tmp_path / "s.csv"
-        cols, rows = ("fov_deg", "cvrp_dbm"), [(90.0, 0.0), (30.0, -200.0)]
-        write_sweep_csv(rows, str(f), columns=cols)
+        write_sweep_csv(s, str(f))
         s2 = read_sweep_csv(str(f))
         assert s2.cvrp_mw[1] == pytest.approx(1e-20)
 
@@ -248,6 +251,18 @@ class TestSweepCsv:
         f = tmp_path / "c.csv"
         write_sweep_csv(compare_sweeps(ref, ref), str(f))
         with pytest.raises(ValueError):
+            read_sweep_csv(str(f))
+
+    @pytest.mark.parametrize("rows, message", [
+        ("abc,1", r"s\.csv:2: non-numeric FoV 'abc'"),
+        ("1_0,1", r"s\.csv:2: non-numeric FoV '1_0'"),
+        ("nan,1", r"s\.csv: sweep FoVs must lie in \[0, 180\]"),
+        ("90,1\n120,1", r"s\.csv: sweep FoVs must be strictly decreasing"),
+    ])
+    def test_bad_fov_rejected_with_path(self, tmp_path, rows, message):
+        f = tmp_path / "s.csv"
+        f.write_text(f"fov_deg,cvrp_dbm\n{rows}\n")
+        with pytest.raises(ValueError, match=message):
             read_sweep_csv(str(f))
 
     def test_empty_sweep_file_rejected(self, tmp_path):

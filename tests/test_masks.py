@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from cvrpkit import SphericalMask, apply_mask, mask_solid_angle, window_bounds
+from cvrpkit import SphericalMask, apply_mask, window_bounds
 from cvrpkit.grid import Direction
 from cvrpkit.masks import MaskKind, membership
 
@@ -12,7 +12,7 @@ FOUR_PI = 4.0 * math.pi
 
 class TestSolidAngles:
     def test_full_sphere(self):
-        assert mask_solid_angle(SphericalMask.full_sphere()) == FOUR_PI
+        assert SphericalMask.full_sphere().solid_angle_sr == FOUR_PI
 
     def test_cap_closed_form(self):
         m = SphericalMask.cap(Direction(0, 0), 60.0)
@@ -32,7 +32,7 @@ class TestSolidAngles:
         assert m.solid_angle_sr == pytest.approx(expect, rel=1e-12)
 
     def test_point_zero(self):
-        assert mask_solid_angle(SphericalMask.point(Direction(10, 20))) == 0.0
+        assert SphericalMask.point(Direction(10, 20)).solid_angle_sr == 0.0
 
     def test_cap_rejects_bad_angles(self):
         with pytest.raises(ValueError):

@@ -9,13 +9,13 @@ from cvrpkit import (
     CvrpSweep,
     PolarizedPattern,
     SphericalMask,
-    combined_eirp,
     cvrp,
     cvrp_point,
     cvrp_sweep,
     effective_solid_angle,
     prp,
     prp_preset,
+    sample_bilinear,
     trp,
 )
 from cvrpkit.grid import AngularGrid, Direction, sph_to_unit
@@ -172,7 +172,7 @@ class TestCvrp:
         p = cosine_boresight.pattern
         for _ in range(20):
             d = Direction(rng.uniform(0, 180), rng.uniform(0, 360))
-            assert cvrp_point(p, d) == combined_eirp(p, d)
+            assert cvrp_point(p, d) == sum(sample_bilinear(p, d))
 
 
 class TestEffectiveSolidAngle:

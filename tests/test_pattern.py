@@ -9,7 +9,6 @@ from cvrpkit import (
     ArraySpec,
     ElementModel,
     PolarizedPattern,
-    combined_eirp,
     fill_unmeasured,
     isotropic,
     remap_to_standard,
@@ -19,6 +18,8 @@ from cvrpkit import (
     trp,
 )
 from cvrpkit.grid import AngularGrid, Convention, Direction, sph_to_unit
+
+from oracles import rotate_about_y_reference, sample_component_reference
 
 
 def make_distributed(value_mw=1.0, dtheta=1.5, dphi=1.5):
@@ -198,6 +199,23 @@ class TestRemap:
             remap_to_standard(isotropic(1.0))
 
 
+class TestValidation:
+    @pytest.mark.parametrize("bad", [-1.0, np.nan, np.inf, -np.inf])
+    def test_bad_eirp_rejected(self, std_grid, bad):
+        good = np.ones((std_grid.n_theta, std_grid.n_phi))
+        et = good.copy()
+        et[3, 4] = bad
+        for pair in ((et, good), (good, et)):
+            with pytest.raises(ValueError, match="finite, non-negative"):
+                PolarizedPattern(std_grid, *pair)
+
+    @pytest.mark.parametrize("frequency", [0.0, -28e9, np.nan, np.inf])
+    def test_bad_frequency_rejected(self, iso_pattern, frequency):
+        with pytest.raises(ValueError, match="frequency_hz must be positive and finite"):
+            PolarizedPattern(iso_pattern.grid, iso_pattern.eirp_theta_mw,
+                             iso_pattern.eirp_phi_mw, frequency)
+
+
 class TestFill:
     def test_back_hemisphere_zero_fill(self):
         p = make_distributed(1.0)
@@ -236,7 +254,7 @@ class TestSampling:
     def test_isotropic_everywhere(self, iso_pattern, rng):
         for _ in range(50):
             d = Direction(rng.uniform(0, 180), rng.uniform(0, 360))
-            assert combined_eirp(iso_pattern, d) == pytest.approx(1.0, rel=1e-12)
+            assert sum(sample_bilinear(iso_pattern, d)) == pytest.approx(1.0, rel=1e-12)
 
     def test_phi_midpoint(self, std_grid):
         et = np.full((std_grid.n_theta, std_grid.n_phi), 2.0)
@@ -269,14 +287,14 @@ class TestSampling:
         et = np.full((std_grid.n_theta, std_grid.n_phi), 3.0)
         ep = np.full((std_grid.n_theta, std_grid.n_phi), 4.0)
         p = PolarizedPattern(std_grid, et, ep)
-        assert combined_eirp(p, Direction(10.0, 10.0)) == pytest.approx(7.0)
+        assert sum(sample_bilinear(p, Direction(10.0, 10.0))) == pytest.approx(7.0)
 
     def test_pure_theta_polarization(self, cosine_boresight):
         p = cosine_boresight.pattern
         d = Direction(12.3, 45.6)
         et, ep = sample_bilinear(p, d)
         assert ep == 0.0
-        assert combined_eirp(p, d) == et
+        assert sum(sample_bilinear(p, d)) == et
 
 
 class TestRotation:
@@ -304,3 +322,63 @@ class TestRotation:
         main = p.total_mw >= 0.5 * p.total_mw.max()
         rel = np.abs(rt.total_mw[main] - p.total_mw[main]) / p.total_mw[main]
         assert rel.max() < 0.05
+
+
+def _partial_grid(theta0, n_theta, phi0, n_phi, step):
+    return AngularGrid(theta0 + step * np.arange(n_theta), phi0 + step * np.arange(n_phi),
+                       step, step)
+
+
+# Full grids at four steps, a cap of rings with a full phi circle, and a
+# patch whose phi axis clamps instead of wrapping.
+REFERENCE_GRIDS = {
+    "full-0.5": AngularGrid.standard(0.5, 0.5),
+    "full-1.5": AngularGrid.standard(1.5, 1.5),
+    "full-5": AngularGrid.standard(5.0, 5.0),
+    "full-15": AngularGrid.standard(15.0, 15.0),
+    "rings-0-90": _partial_grid(0.0, 31, 0.0, 120, 3.0),
+    "patch": _partial_grid(30.0, 61, 10.0, 61, 1.5),
+}
+
+
+def _random_pattern(grid, rng):
+    shape = (grid.n_theta, grid.n_phi)
+    et = rng.uniform(0.1, 2.0, shape)
+    et[rng.random(shape) < 0.1] = 0.0
+    return PolarizedPattern(grid, et, rng.uniform(0.0, 1.0, shape))
+
+
+def _reference_queries(grid, rng):
+    """Directions at nodes and 1e-10 deg either side, the poles, phi just
+    below 360 and just above 0, and random directions."""
+    def near(axis):
+        nodes = axis[[0, 1, axis.size // 2, -2, -1]]
+        return [v + e for v in nodes.tolist() for e in (-1e-10, 0.0, 1e-10)]
+    thetas = near(grid.theta_deg) + [0.0, 1e-10, 180.0 - 1e-10, 180.0]
+    thetas += rng.uniform(0.0, 180.0, 12).tolist()
+    phis = near(grid.phi_deg) + [0.0, 1e-10, 360.0 - 1e-10, -1e-10, 359.3]
+    phis += rng.uniform(0.0, 360.0, 12).tolist()
+    return [Direction(t, p) for t in thetas for p in phis]
+
+
+class TestSamplingMatchesReference:
+    @pytest.mark.parametrize("name", REFERENCE_GRIDS)
+    def test_sample_bilinear(self, name, rng):
+        g = REFERENCE_GRIDS[name]
+        p = _random_pattern(g, rng)
+        dirs = _reference_queries(g, rng)
+        got = np.array([sample_bilinear(p, d) for d in dirs])
+        t = np.array([d.theta_deg for d in dirs])
+        ph = np.array([d.phi_deg for d in dirs])
+        for k, values in enumerate((p.eirp_theta_mw, p.eirp_phi_mw)):
+            want = sample_component_reference(values, g, t, ph)
+            assert np.array_equal(got[:, k], want)
+
+    @pytest.mark.parametrize("name", REFERENCE_GRIDS)
+    @pytest.mark.parametrize("alpha", [-45.0, 17.0, 90.0, 180.0])
+    def test_rotate_about_y(self, name, alpha, rng):
+        p = _random_pattern(REFERENCE_GRIDS[name], rng)
+        rot = rotate_about_y(p, alpha)
+        et, ep = rotate_about_y_reference(p, alpha)
+        assert np.array_equal(rot.eirp_theta_mw, et)
+        assert np.array_equal(rot.eirp_phi_mw, ep)
