@@ -16,7 +16,7 @@ from .arraysynth import (
     synthesize_directivity,
     synthesize_eirp,
 )
-from .diagnostics import SweepComparison, compare_sweeps, sweep_to_plot_rows, to_dbm
+from .diagnostics import SweepComparison, compare_sweeps, to_dbm
 from .grid import AngularGrid, Convention, Direction
 from .masks import SphericalMask, apply_mask, window_bounds
 from .metrics import (

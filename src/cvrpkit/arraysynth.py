@@ -150,8 +150,8 @@ def synthesize_eirp(spec: ArraySpec, reference_trp_mw: float,
     reference. Failed-element specs keep the same reference, modeling
     TRP-matched fault comparisons.
     """
-    if reference_trp_mw <= 0:
-        raise ValueError("reference TRP must be positive")
+    if not 0 < reference_trp_mw < math.inf:  # NaN fails too
+        raise ValueError("reference TRP must be positive and finite")
     if grid is None:
         grid = AngularGrid.standard()
     d_dbi = synthesize_directivity(spec, grid)

@@ -76,8 +76,7 @@ def _cmd_synth(args) -> int:
 
 def _cmd_remap(args) -> int:
     p = patternio.read_pattern(args.input)
-    out = pattern.fill_unmeasured(pattern.remap_to_standard(p), 0.0)
-    patternio.write_pattern(out, args.output)
+    patternio.write_pattern(pattern.remap_to_standard(p), args.output)
     print(f"wrote {args.output}")
     return 0
 
@@ -91,23 +90,19 @@ def _cmd_fill(args) -> int:
 
 
 def _cmd_rotate(args) -> int:
-    out = pattern.rotate_about_y(_load_standard(args.input), args.about_y)
+    out = pattern.rotate_about_y(patternio.read_pattern(args.input), args.about_y)
     patternio.write_pattern(out, args.output)
     print(f"wrote {args.output}")
     return 0
 
 
-def _load_standard(path: str):
-    return pattern.fill_unmeasured(patternio.read_pattern(path), 0.0)
-
-
 def _cmd_trp(args) -> int:
-    _print_power("TRP", metrics.trp(_load_standard(args.input)))
+    _print_power("TRP", metrics.trp(patternio.read_pattern(args.input)))
     return 0
 
 
 def _cmd_prp(args) -> int:
-    p = _load_standard(args.input)
+    p = patternio.read_pattern(args.input)
     if args.preset:
         value = metrics.prp_preset(p, args.preset)
         name = f"PRP[{args.preset}]"
@@ -121,7 +116,7 @@ def _cmd_prp(args) -> int:
 
 
 def _cmd_cvrp(args) -> int:
-    p = _load_standard(args.input)
+    p = patternio.read_pattern(args.input)
     chosen = [x for x in (args.cap, args.window, args.point) if x is not None]
     if len(chosen) != 1:
         raise ValueError("choose exactly one of --cap, --window, --point")
@@ -144,7 +139,7 @@ def _cmd_cvrp(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    p = _load_standard(args.input)
+    p = patternio.read_pattern(args.input)
     center = _parse_direction(args.center)
     fovs = _parse_float_list(args.fovs) if args.fovs else DEFAULT_FOV_SWEEP
     sweep = metrics.cvrp_sweep(p, center, fovs)
@@ -218,7 +213,7 @@ def _cmd_repro_fig6(args) -> int:
 
 
 def _add_synth_flags(sp) -> None:
-    sp.add_argument("--element", choices=["cosine", "huygens"], required=True)
+    sp.add_argument("--element", choices=[e.value for e in ElementModel], required=True)
     sp.add_argument("--scan", type=float, default=0.0,
                     help="scan angle in degrees (default 0)")
     sp.add_argument("--beam", type=int,
@@ -272,7 +267,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("input")
     sp.add_argument("--theta1", type=float)
     sp.add_argument("--theta2", type=float)
-    sp.add_argument("--preset", choices=["uhrp", "n75prp", "nhprp"])
+    sp.add_argument("--preset", choices=list(metrics.PRP_PRESETS))
     sp.set_defaults(func=_cmd_prp)
 
     sp = sub.add_parser("cvrp", help="constrained-view radiated power")
@@ -312,7 +307,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="all-ON vs faulty-element sweep pair plus comparison")
     sp.add_argument("--scan", type=float, default=0.0)
     sp.add_argument("--fe", default="14,7")
-    sp.add_argument("--element", choices=["cosine", "huygens"],
+    sp.add_argument("--element", choices=[e.value for e in ElementModel],
                     default="cosine")
     sp.add_argument("--outdir", default=".")
     sp.add_argument("--trp-ref-dbm", type=float, default=0.0)

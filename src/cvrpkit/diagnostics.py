@@ -62,16 +62,3 @@ def compare_sweeps(ref: CvrpSweep, test: CvrpSweep,
         threshold_db=threshold_db,
     )
 
-
-def sweep_to_plot_rows(s) -> tuple[tuple[str, ...], list[tuple]]:
-    """Tabular (columns, rows) for a CvrpSweep or SweepComparison."""
-    if isinstance(s, CvrpSweep):
-        cols = ("fov_deg", "cvrp_dbm")
-        rows = [(fov, to_dbm(v)) for fov, v in s.entries]
-        return cols, rows
-    if isinstance(s, SweepComparison):
-        cols = ("fov_deg", "ref_dbm", "test_dbm", "delta_db", "flagged")
-        exceeded = [abs(d) > s.threshold_db for d in s.delta_db]
-        rows = list(zip(s.fov_deg, s.ref_cvrp_db, s.test_cvrp_db, s.delta_db, exceeded))
-        return cols, rows
-    raise TypeError(f"cannot tabulate {type(s).__name__}")

@@ -97,10 +97,12 @@ class Direction:
     phi_deg: float
 
     def __post_init__(self):
-        theta = min(max(float(self.theta_deg), 0.0), 180.0)
-        phi = float(self.phi_deg) % 360.0
-        object.__setattr__(self, "theta_deg", theta)
-        object.__setattr__(self, "phi_deg", phi)
+        theta, phi = float(self.theta_deg), float(self.phi_deg)
+        if not (-ANGLE_TOL_DEG <= theta <= 180.0 + ANGLE_TOL_DEG and np.isfinite(phi)):
+            raise ValueError(f"direction needs theta in [0, 180] deg and a finite phi, "
+                             f"got ({theta:g}, {phi:g})")
+        object.__setattr__(self, "theta_deg", min(max(theta, 0.0), 180.0))
+        object.__setattr__(self, "phi_deg", phi % 360.0)
 
 
 def sph_to_unit(theta_deg, phi_deg):

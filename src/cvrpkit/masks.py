@@ -1,4 +1,4 @@
-"""Spherical masks: full sphere, caps, rectangular windows, points.
+"""Spherical masks: full sphere, caps, rectangular windows.
 
 A mask carries its analytic solid angle. Grid membership is tested at
 node centers; caps use the great-circle distance to the cap center.
@@ -22,7 +22,6 @@ class MaskKind(enum.Enum):
     FULL_SPHERE = "full_sphere"
     CAP = "cap"
     WINDOW = "window"
-    POINT = "point"
 
 
 @dataclass(frozen=True)
@@ -67,10 +66,6 @@ class SphericalMask:
         return cls(MaskKind.WINDOW, theta_min_deg=tmin, theta_max_deg=tmax,
                    phi_min_deg=pmin, phi_max_deg=pmin + extent, solid_angle_sr=sr)
 
-    @classmethod
-    def point(cls, center: Direction) -> "SphericalMask":
-        return cls(MaskKind.POINT, center=center, solid_angle_sr=0.0)
-
     @property
     def phi_extent_deg(self) -> float:
         if self.kind is not MaskKind.WINDOW:
@@ -100,8 +95,6 @@ def membership(m: SphericalMask, grid: AngularGrid) -> np.ndarray:
     """Boolean node-center membership matrix on a standard grid."""
     if grid.convention is not Convention.STANDARD:
         raise ValueError("masks operate on standard-convention grids")
-    if m.kind is MaskKind.POINT:
-        raise ValueError("point masks have no grid membership; use cvrp_point")
     if m.kind is MaskKind.FULL_SPHERE:
         return np.ones((grid.n_theta, grid.n_phi), dtype=bool)
     if m.kind is MaskKind.CAP:
@@ -120,8 +113,6 @@ def membership(m: SphericalMask, grid: AngularGrid) -> np.ndarray:
 
 def apply_mask(p: PolarizedPattern, m: SphericalMask) -> PolarizedPattern:
     """Zero both polarizations outside the mask; inside values unchanged."""
-    if m.kind is MaskKind.POINT:
-        raise ValueError("point masks cannot be applied to a grid; use cvrp_point")
     if m.kind is MaskKind.FULL_SPHERE:
         return p
     member = membership(m, p.grid)

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grid import ANGLE_TOL_DEG, AngularGrid, Convention, Direction
-from .masks import FOUR_PI, MaskKind, SphericalMask, _cap_distance_deg, membership
+from .masks import FOUR_PI, SphericalMask, _cap_distance_deg, membership
 from .pattern import PolarizedPattern, sample_bilinear
 
 #: Cap half-angles of the default FoV sweep (degrees); 0 means point FoV.
@@ -100,8 +100,6 @@ def _masked_cvrp(p: PolarizedPattern, member: np.ndarray) -> float:
 
 
 def _require_extended(m: SphericalMask) -> None:
-    if m.kind is MaskKind.POINT:
-        raise ValueError("point masks are degenerate here; use cvrp_point")
     if m.solid_angle_sr < 1e-12:
         raise ValueError("mask solid angle is degenerate")
 
@@ -118,8 +116,8 @@ def effective_solid_angle(m: SphericalMask, grid: AngularGrid) -> float:
 def cvrp(p: PolarizedPattern, m: SphericalMask) -> float:
     """Constrained-view radiated power (mW) over a mask.
 
-    A full-sphere mask reproduces trp(p) exactly; point masks are
-    rejected (use cvrp_point).
+    A full-sphere mask reproduces trp(p) exactly; the point FoV is
+    cvrp_point.
     """
     _require_standard(p)
     _require_extended(m)

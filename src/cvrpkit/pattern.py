@@ -154,8 +154,8 @@ def remap_to_standard(p: PolarizedPattern) -> PolarizedPattern:
 
 def fill_unmeasured(p: PolarizedPattern, fill_mw: float = 0.0) -> PolarizedPattern:
     """Set every unmeasured cell to fill_mw in both polarizations."""
-    if fill_mw < 0:
-        raise ValueError("fill power must be non-negative")
+    if not 0 <= fill_mw < math.inf:  # NaN fails too
+        raise ValueError("fill power must be finite and non-negative")
     if p.measured is None:
         return p
     hole = ~p.measured

@@ -15,7 +15,7 @@ import re
 
 import numpy as np
 
-from .diagnostics import SweepComparison, sweep_to_plot_rows
+from .diagnostics import SweepComparison
 from .grid import ANGLE_TOL_DEG, AngularGrid, Convention
 from .metrics import CvrpSweep
 from .pattern import PolarizedPattern
@@ -23,6 +23,8 @@ from .pattern import PolarizedPattern
 FORMAT_VERSION = "cvrp-pattern/1"
 
 _HEADER = "theta_deg,phi_deg,eirp_theta_dbm,eirp_phi_dbm"
+_SWEEP_HEADER = "fov_deg,cvrp_dbm"
+_COMPARISON_HEADER = "fov_deg,ref_dbm,test_dbm,delta_db,flagged"
 
 # A blank or "#" line with the newline before it, hidden from the bulk parser.
 _SKIPPED = re.compile(r"\n[^\S\n]*(?:#.*)?(?=\n|\Z)")
@@ -216,14 +218,20 @@ def _axis_indices(values: np.ndarray, step: float, path: str,
 
 
 def write_sweep_csv(s: CvrpSweep | SweepComparison, path: str) -> None:
-    """Write a sweep (fov_deg,cvrp_dbm) or a comparison as CSV; a sweep's
-    pattern label is written as a "# label:" line."""
-    cols, rows = sweep_to_plot_rows(s)
-    label = s.pattern_label if isinstance(s, CvrpSweep) else ""
-    lines = [f"# label: {label}"] if label else []
-    lines.append(",".join(cols))
-    for row in rows:
-        lines.append(",".join(_cell(v) for v in row))
+    """Write a sweep (fov_deg,cvrp_dbm) or a comparison as CSV. A sweep's
+    pattern label is written as a "# label:" line and its power in dBm as
+    in pattern files, zero as "-inf"; a comparison's dB values as stored."""
+    if isinstance(s, CvrpSweep):
+        lines = [f"# label: {s.pattern_label}"] if s.pattern_label else []
+        lines.append(_SWEEP_HEADER)
+        lines += [f"{_fmt(f)},{_dbm_str(v)}" for f, v in s.entries]
+    elif isinstance(s, SweepComparison):
+        lines = [_COMPARISON_HEADER]
+        for row in zip(s.fov_deg, s.ref_cvrp_db, s.test_cvrp_db, s.delta_db):
+            flagged = "true" if abs(row[3]) > s.threshold_db else "false"
+            lines.append(",".join(map(_fmt, row)) + "," + flagged)
+    else:
+        raise TypeError(f"cannot write {type(s).__name__} as a sweep CSV")
     _write_text(path, "\n".join(lines) + "\n")
 
 
@@ -242,7 +250,7 @@ def read_sweep_csv(path: str) -> CvrpSweep:
                     label = body.partition(":")[2].strip()
                 continue
             if line.startswith("fov_deg"):
-                if line != "fov_deg,cvrp_dbm":
+                if line != _SWEEP_HEADER:
                     raise ValueError(f"{path}:{lineno}: not a single-sweep CSV")
                 continue
             parts = line.split(",")
@@ -259,14 +267,6 @@ def read_sweep_csv(path: str) -> CvrpSweep:
         return CvrpSweep(tuple(entries), pattern_label=label)
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
-
-
-def _cell(v) -> str:
-    if isinstance(v, bool):
-        return "true" if v else "false"
-    if isinstance(v, float):
-        return _fmt(v)
-    return str(v)
 
 
 def _write_text(path: str, text: str) -> None:

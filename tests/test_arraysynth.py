@@ -222,3 +222,8 @@ class TestEirp:
     def test_reference_must_be_positive(self):
         with pytest.raises(ValueError):
             synthesize_eirp(ArraySpec(element=ElementModel.COSINE), 0.0)
+
+    @pytest.mark.parametrize("ref", [math.nan, math.inf])
+    def test_reference_must_be_finite(self, ref):
+        with pytest.raises(ValueError, match="positive and finite"):
+            synthesize_eirp(ArraySpec(element=ElementModel.COSINE), ref)

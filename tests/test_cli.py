@@ -9,6 +9,7 @@ import pytest
 
 from cvrpkit import (
     ArraySpec,
+    CvrpSweep,
     ElementModel,
     SphericalMask,
     cvrp,
@@ -20,6 +21,7 @@ from cvrpkit import (
     to_dbm,
     trp,
     write_pattern,
+    write_sweep_csv,
 )
 from cvrpkit.cli import cli_main
 from cvrpkit.grid import Direction
@@ -78,6 +80,8 @@ class TestSynth:
     @pytest.mark.parametrize("dbm, message", [
         ("4000", "--trp-ref-dbm 4000 overflows linear power"),
         ("3070", "EIRP values must be finite"),  # 1e307 mW times the peak gain is inf
+        ("inf", "reference TRP must be positive and finite"),
+        ("nan", "reference TRP must be positive and finite"),
     ])
     def test_huge_reference_is_domain_error(self, tmp_path, capsys, command, dbm, message):
         out = tmp_path / "out"
@@ -146,6 +150,14 @@ class TestScalarCommands:
         code, _, err = run(capsys, ["cvrp", pattern_file, "--cap", "30",
                                     "--point", "0,0"])
         assert code == 1
+
+    @pytest.mark.parametrize("center", ["200,0", "-5,0", "nan,0", "0,inf"])
+    def test_cvrp_center_out_of_range_is_domain_error(self, pattern_file, capsys, center):
+        code, out, err = run(capsys, ["cvrp", pattern_file, "--cap", "30",
+                                      f"--center={center}"])
+        assert code == 1 and out == ""
+        assert err.startswith("error: direction needs theta in [0, 180] deg")
+        assert "Traceback" not in err
 
     @pytest.mark.parametrize("old, new, message", [
         ("90,0,10,0", "90,0,4000,0", "bad.csv:9: dBm value '4000' overflows"),
@@ -217,6 +229,26 @@ class TestPipelines:
         assert err.startswith(f"error: {bad}:2: non-numeric FoV 'abc'")
         assert "Traceback" not in err
 
+    def test_diagnose_zero_entry_unchanged(self, tmp_path, capsys):
+        # A zero sweep entry is written "-inf" and reads back as 0 mW; the
+        # comparison floors it at -200 dBm, as it did the old "-200" spelling.
+        ref = tmp_path / "ref.csv"
+        ref.write_text("fov_deg,cvrp_dbm\n90,0\n30,-3\n")
+        new = tmp_path / "new.csv"
+        write_sweep_csv(CvrpSweep(((90.0, 1.0), (30.0, 0.0))), str(new))
+        assert new.read_text() == "fov_deg,cvrp_dbm\n90,0\n30,-inf\n"
+        old = tmp_path / "old.csv"
+        old.write_text("fov_deg,cvrp_dbm\n90,0\n30,-200\n")
+        cmp_csv = tmp_path / "cmp.csv"
+        results = []
+        for test in (new, old):
+            code, out, _ = run(capsys, ["diagnose", "--ref", str(ref), "--test", str(test),
+                                        "-o", str(cmp_csv)])
+            assert code == 0
+            results.append((out, cmp_csv.read_bytes()))
+        assert results[0] == results[1]
+        assert "FLAGGED" in results[0][0]
+
     def test_diagnose_self_clean(self, tmp_path, capsys):
         swp = str(tmp_path / "s.csv")
         pat = str(tmp_path / "p.csv")
@@ -257,6 +289,16 @@ class TestDeterminism:
             assert cli_main(["synth", "--element", "cosine", "--scan", "-4.5",
                              "-o", str(path)]) == 0
         assert a.read_bytes() == b.read_bytes()
+
+    @pytest.mark.parametrize("fill", ["nan", "inf"])
+    def test_non_finite_fill_is_domain_error(self, tmp_path, capsys, pattern_file, fill):
+        # pattern_file is fully measured: nothing to fill, still rejected
+        out = tmp_path / "filled.csv"
+        code, _, err = run(capsys, ["fill", pattern_file, "--fill-mw", fill,
+                                    "-o", str(out)])
+        assert code == 1
+        assert err.startswith("error: fill power must be finite and non-negative")
+        assert "Traceback" not in err and not out.exists()
 
     def test_fill_round_trip_identity(self, tmp_path, pattern_file):
         out = tmp_path / "filled.csv"

@@ -7,7 +7,6 @@ from cvrpkit import (
     compare_sweeps,
     cvrp_sweep,
     rotate_about_y,
-    sweep_to_plot_rows,
     synthesize_eirp,
     to_dbm,
 )
@@ -86,22 +85,3 @@ class TestCompareSweeps:
         with pytest.raises(ValueError):
             compare_sweeps(s, s, threshold_db=0.0)
 
-
-class TestPlotRows:
-    def test_sweep_rows(self):
-        s = CvrpSweep(((90.0, 1.0), (30.0, 0.001)))
-        cols, rows = sweep_to_plot_rows(s)
-        assert cols == ("fov_deg", "cvrp_dbm")
-        assert rows == [(90.0, 0.0), (30.0, pytest.approx(-30.0))]
-
-    def test_comparison_rows(self):
-        ref = CvrpSweep(((90.0, 1.0), (30.0, 1.0)))
-        test = CvrpSweep(((90.0, 1.0), (30.0, 2.0)))
-        cols, rows = sweep_to_plot_rows(compare_sweeps(ref, test))
-        assert cols == ("fov_deg", "ref_dbm", "test_dbm", "delta_db", "flagged")
-        assert rows[0][4] is False
-        assert rows[1][4] is True
-
-    def test_unknown_type_rejected(self):
-        with pytest.raises(TypeError):
-            sweep_to_plot_rows([1, 2, 3])

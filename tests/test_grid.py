@@ -43,12 +43,25 @@ def test_convention_range_enforced():
 
 
 def test_direction_normalization():
-    d = Direction(-5.0, 370.0)
+    d = Direction(0.0, 370.0)
     assert d.theta_deg == 0.0
     assert d.phi_deg == 10.0
-    d = Direction(200.0, -90.0)
+    d = Direction(180.0, -90.0)
     assert d.theta_deg == 180.0
     assert d.phi_deg == 270.0
+    # within the angle tolerance theta snaps onto the poles
+    assert Direction(-1e-10, 0.0).theta_deg == 0.0
+    assert Direction(180.0 + 1e-10, 0.0).theta_deg == 180.0
+
+
+@pytest.mark.parametrize("theta, phi", [
+    (-5.0, 370.0), (200.0, -90.0), (-1e-8, 0.0), (180.0 + 1e-8, 0.0),
+    (float("nan"), 0.0), (float("inf"), 0.0), (0.0, float("nan")),
+    (0.0, float("inf")), (0.0, float("-inf")),
+])
+def test_direction_out_of_range_rejected(theta, phi):
+    with pytest.raises(ValueError, match=r"theta in \[0, 180\] deg and a finite phi"):
+        Direction(theta, phi)
 
 
 def test_unit_vector_round_trip():

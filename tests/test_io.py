@@ -240,11 +240,20 @@ class TestSweepCsv:
         assert lines[2].endswith(",true")
 
     def test_zero_power_written_as_inf_token(self, tmp_path):
-        s = CvrpSweep(((90.0, 1.0), (30.0, 0.0)))
+        # sweep power is spelled as in pattern files: no -200 dBm floor
+        s = CvrpSweep(((90.0, 1.0), (30.0, 1e-25), (0.0, 0.0)))
         f = tmp_path / "s.csv"
         write_sweep_csv(s, str(f))
+        assert f.read_text().splitlines()[1:] == ["90,0", "30,-250", "0,-inf"]
         s2 = read_sweep_csv(str(f))
-        assert s2.cvrp_mw[1] == pytest.approx(1e-20)
+        assert s2.cvrp_mw[1] == pytest.approx(1e-25, rel=1e-12)
+        assert s2.cvrp_mw[2] == 0.0
+
+    def test_unknown_type_rejected(self, tmp_path):
+        f = tmp_path / "s.csv"
+        with pytest.raises(TypeError):
+            write_sweep_csv([1, 2, 3], str(f))
+        assert not f.exists()
 
     def test_comparison_csv_not_readable_as_sweep(self, tmp_path):
         ref = CvrpSweep(((90.0, 1.0),))

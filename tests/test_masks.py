@@ -31,9 +31,6 @@ class TestSolidAngles:
         expect = math.radians(90.0) * (math.cos(math.radians(30)) - 0.0)
         assert m.solid_angle_sr == pytest.approx(expect, rel=1e-12)
 
-    def test_point_zero(self):
-        assert SphericalMask.point(Direction(10, 20)).solid_angle_sr == 0.0
-
     def test_cap_rejects_bad_angles(self):
         with pytest.raises(ValueError):
             SphericalMask.cap(Direction(0, 0), 0.0)
@@ -88,10 +85,6 @@ class TestMembership:
 
     def test_full_sphere_all_true(self, std_grid):
         assert membership(SphericalMask.full_sphere(), std_grid).all()
-
-    def test_point_rejected(self, std_grid):
-        with pytest.raises(ValueError):
-            membership(SphericalMask.point(Direction(0, 0)), std_grid)
 
 
 class TestApplyMask:

@@ -164,10 +164,6 @@ class TestCvrp:
             mc, se = mc_cap_mean(f, ct, cp, beta, 200_000, rng)
             assert abs(val - mc) <= 4.0 * se + 5e-4 * mc
 
-    def test_point_mask_rejected(self, iso_pattern):
-        with pytest.raises(ValueError, match="cvrp_point"):
-            cvrp(iso_pattern, SphericalMask.point(Direction(0, 0)))
-
     def test_point_equals_combined_eirp(self, cosine_boresight, rng):
         p = cosine_boresight.pattern
         for _ in range(20):
