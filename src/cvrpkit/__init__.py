@@ -18,7 +18,7 @@ from .arraysynth import (
 )
 from .diagnostics import SweepComparison, compare_sweeps, to_dbm
 from .grid import AngularGrid, Convention, Direction
-from .masks import SphericalMask, apply_mask, window_bounds
+from .masks import SphericalMask
 from .metrics import (
     DEFAULT_FOV_SWEEP,
     PRP_PRESETS,

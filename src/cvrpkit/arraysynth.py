@@ -51,8 +51,9 @@ class ArraySpec:
     def __post_init__(self):
         if self.rows < 1 or self.cols < 1:
             raise ValueError("array needs at least one row and one column")
-        if self.spacing_wl <= 0:
-            raise ValueError("element spacing must be positive")
+        if not 0 < self.spacing_wl < math.inf:  # NaN fails too
+            raise ValueError(f"element spacing spacing_wl must be positive and finite, "
+                             f"got {self.spacing_wl:g}")
         if not -45.0 <= self.scan_angle_deg <= 45.0:
             raise ValueError("scan angle must be within [-45, 45] degrees")
         failed = frozenset(int(i) for i in self.failed_elements)

@@ -194,13 +194,13 @@ def _cmd_repro_fig6(args) -> int:
                        failed_elements=fe)
     sweep_on = _aligned_sweep(all_on, ref_mw)
     sweep_fe = _aligned_sweep(faulty, ref_mw)
+    cmp = diagnostics.compare_sweeps(sweep_on, sweep_fe, args.threshold_db)
     tag = f"{element.value}_scan{args.scan:+g}"
     path_on = os.path.join(args.outdir, f"fig6_{tag}_all_on.csv")
     path_fe = os.path.join(args.outdir, f"fig6_{tag}_fe.csv")
     path_cmp = os.path.join(args.outdir, f"fig6_{tag}_comparison.csv")
     patternio.write_sweep_csv(sweep_on, path_on)
     patternio.write_sweep_csv(sweep_fe, path_fe)
-    cmp = diagnostics.compare_sweeps(sweep_on, sweep_fe, args.threshold_db)
     patternio.write_sweep_csv(cmp, path_cmp)
     for path in (path_on, path_fe, path_cmp):
         print(f"wrote {path}")

@@ -39,8 +39,8 @@ class SweepComparison:
 def compare_sweeps(ref: CvrpSweep, test: CvrpSweep,
                    threshold_db: float = DEFAULT_THRESHOLD_DB) -> SweepComparison:
     """Per-FoV dB deltas (test - ref) and the widest FoV exceeding threshold."""
-    if threshold_db <= 0:
-        raise ValueError("threshold must be positive")
+    if not 0 < threshold_db < math.inf:  # NaN fails too
+        raise ValueError(f"threshold must be positive and finite, got {threshold_db:g} dB")
     if ref.fov_deg != test.fov_deg:
         raise ValueError("sweeps must share identical FoV lists")
     ref_db = tuple(to_dbm(v) for v in ref.cvrp_mw)

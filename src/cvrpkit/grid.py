@@ -2,8 +2,10 @@
 
 Two axis conventions are supported:
 
-* standard: theta in [0, 180], phi in [0, 360)
-* distributed: roll-over-turntable axes, theta in [-180, 180), phi in [0, 180]
+* standard: always the full sphere, theta 0..180 and phi 0..360-dphi,
+  with steps that divide 180 and 360 degrees
+* distributed: roll-over-turntable axes, any equispaced sub-range of
+  theta in [-180, 180), phi in [0, 180]; only remapping reads these
 """
 
 from __future__ import annotations
@@ -31,6 +33,20 @@ def _check_equispaced(values: np.ndarray, step: float, name: str) -> None:
         raise ValueError(f"{name} step must be positive")
 
 
+def _standard_counts(dtheta_deg: float, dphi_deg: float) -> tuple[int, int]:
+    """Theta intervals and phi nodes of the full-sphere grid with these steps."""
+    if not (0 < dtheta_deg < np.inf and 0 < dphi_deg < np.inf):  # NaN fails too
+        raise ValueError(f"grid steps must be positive and finite "
+                         f"(dtheta_deg={dtheta_deg:g}, dphi_deg={dphi_deg:g})")
+    n_t = round(180.0 / dtheta_deg)
+    n_p = round(360.0 / dphi_deg)
+    if abs(n_t * dtheta_deg - 180.0) > ANGLE_TOL_DEG:
+        raise ValueError(f"dtheta_deg={dtheta_deg:g} must divide 180 degrees")
+    if abs(n_p * dphi_deg - 360.0) > ANGLE_TOL_DEG:
+        raise ValueError(f"dphi_deg={dphi_deg:g} must divide 360 degrees")
+    return n_t, n_p
+
+
 @dataclass(frozen=True)
 class AngularGrid:
     """Equispaced theta/phi sample axes in degrees."""
@@ -47,10 +63,11 @@ class AngularGrid:
         _check_equispaced(theta, self.dtheta_deg, "theta")
         _check_equispaced(phi, self.dphi_deg, "phi")
         if self.convention is Convention.STANDARD:
-            if theta[0] < -ANGLE_TOL_DEG or theta[-1] > 180 + ANGLE_TOL_DEG:
-                raise ValueError("standard convention requires theta in [0, 180]")
-            if phi[0] < -ANGLE_TOL_DEG or phi[-1] >= 360 - ANGLE_TOL_DEG:
-                raise ValueError("standard convention requires phi in [0, 360)")
+            n_t, n_p = _standard_counts(self.dtheta_deg, self.dphi_deg)
+            if (theta.size != n_t + 1 or phi.size != n_p
+                    or abs(theta[0]) > ANGLE_TOL_DEG or abs(phi[0]) > ANGLE_TOL_DEG):
+                raise ValueError("standard convention requires the full sphere: "
+                                 "theta 0..180 and phi 0..360-dphi")
         else:
             if theta[0] < -180 - ANGLE_TOL_DEG or theta[-1] >= 180 - ANGLE_TOL_DEG:
                 raise ValueError("distributed convention requires theta in [-180, 180)")
@@ -69,24 +86,12 @@ class AngularGrid:
     def n_phi(self) -> int:
         return self.phi_deg.size
 
-    @property
-    def phi_spans_circle(self) -> bool:
-        return abs(self.n_phi * self.dphi_deg - 360.0) <= 1e-6
-
     @classmethod
     def standard(cls, dtheta_deg: float = 1.5, dphi_deg: float = 1.5) -> "AngularGrid":
-        """Full-sphere standard grid: theta 0..180, phi 0..360-dphi."""
-        if not (dtheta_deg > 0 and dphi_deg > 0):
-            raise ValueError("grid steps must be positive")
-        n_t = round(180.0 / dtheta_deg)
-        n_p = round(360.0 / dphi_deg)
-        if abs(n_t * dtheta_deg - 180.0) > ANGLE_TOL_DEG:
-            raise ValueError("dtheta must divide 180 degrees")
-        if abs(n_p * dphi_deg - 360.0) > ANGLE_TOL_DEG:
-            raise ValueError("dphi must divide 360 degrees")
-        theta = np.arange(n_t + 1) * dtheta_deg
-        phi = np.arange(n_p) * dphi_deg
-        return cls(theta, phi, dtheta_deg, dphi_deg, Convention.STANDARD)
+        """The standard grid: theta 0..180, phi 0..360-dphi."""
+        n_t, n_p = _standard_counts(dtheta_deg, dphi_deg)
+        return cls(np.arange(n_t + 1) * dtheta_deg, np.arange(n_p) * dphi_deg,
+                   dtheta_deg, dphi_deg)
 
 
 @dataclass(frozen=True)

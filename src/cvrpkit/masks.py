@@ -13,7 +13,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grid import ANGLE_TOL_DEG, AngularGrid, Convention, Direction, angular_distance_deg
-from .pattern import PolarizedPattern
 
 FOUR_PI = 4.0 * math.pi
 
@@ -73,18 +72,6 @@ class SphericalMask:
         return self.phi_max_deg - self.phi_min_deg
 
 
-def window_bounds(center: Direction, theta_fov_deg: float,
-                  phi_fov_deg: float) -> SphericalMask:
-    """Rectangular window of the given angular extents around a center."""
-    if not 0.0 <= theta_fov_deg <= 360.0 or not 0.0 <= phi_fov_deg <= 360.0:
-        raise ValueError("FoV extents must be in [0, 360] degrees")
-    tmin = center.theta_deg - theta_fov_deg / 2.0
-    tmax = center.theta_deg + theta_fov_deg / 2.0
-    pmin = center.phi_deg - phi_fov_deg / 2.0
-    pmax = center.phi_deg + phi_fov_deg / 2.0
-    return SphericalMask.window(tmin, tmax, pmin, pmax)
-
-
 def _cap_distance_deg(center: Direction, grid: AngularGrid) -> np.ndarray:
     """Great-circle distance (degrees) from center to every grid node."""
     return angular_distance_deg(grid.theta_deg[:, None], grid.phi_deg[None, :],
@@ -102,20 +89,6 @@ def membership(m: SphericalMask, grid: AngularGrid) -> np.ndarray:
     tt, pp = np.meshgrid(grid.theta_deg, grid.phi_deg, indexing="ij")
     in_theta = ((tt >= m.theta_min_deg - ANGLE_TOL_DEG)
                 & (tt <= m.theta_max_deg + ANGLE_TOL_DEG))
-    extent = m.phi_extent_deg
-    if extent >= 360.0 - ANGLE_TOL_DEG:
-        in_phi = np.ones_like(in_theta)
-    else:
-        rel = (pp - m.phi_min_deg) % 360.0
-        in_phi = (rel <= extent + ANGLE_TOL_DEG) | (rel >= 360.0 - ANGLE_TOL_DEG)
+    rel = (pp - m.phi_min_deg) % 360.0  # in [0, 360): every node when the extent is 360
+    in_phi = (rel <= m.phi_extent_deg + ANGLE_TOL_DEG) | (rel >= 360.0 - ANGLE_TOL_DEG)
     return in_theta & in_phi
-
-
-def apply_mask(p: PolarizedPattern, m: SphericalMask) -> PolarizedPattern:
-    """Zero both polarizations outside the mask; inside values unchanged."""
-    if m.kind is MaskKind.FULL_SPHERE:
-        return p
-    member = membership(m, p.grid)
-    et = np.where(member, p.eirp_theta_mw, 0.0)
-    ep = np.where(member, p.eirp_phi_mw, 0.0)
-    return PolarizedPattern(p.grid, et, ep, p.frequency_hz, p.label, p.measured)

@@ -1,13 +1,14 @@
 """Radiated-power metrics: TRP, PRP, CVRP, and FoV sweeps.
 
-Every metric is one quadrature on the node grid: numpy sums the
-integrand along phi within each theta ring, and a single math.fsum
-reduces the ring sums weighted by sin(theta) (exactly 0 on the pole
-rings), scaled by the cell solid angle dOmega. CVRP divides the masked
-power by the mask's area fraction: the same quadrature over per-ring
-member counts, over that of the grid's own coverage (n_phi per ring).
-A full-sphere mask has exactly those counts, so its area fraction is
-exactly 1.0 and full-sphere CVRP equals TRP bit for bit.
+Patterns live on the standard grid, which always covers the full sphere;
+unmeasured cells count as 0 mW. Every metric is one quadrature on the
+node grid: numpy sums the integrand along phi within each theta ring,
+and a single math.fsum reduces the ring sums weighted by sin(theta)
+(exactly 0 on the pole rings), scaled by the cell solid angle dOmega.
+CVRP divides the masked power by the mask's area fraction: the same
+quadrature over per-ring member counts, over that of the whole sphere
+(n_phi per ring). A full-sphere mask has exactly those counts, so its
+area fraction is exactly 1.0 and full-sphere CVRP equals TRP bit for bit.
 """
 
 from __future__ import annotations
@@ -83,7 +84,7 @@ def _integrate(grid: AngularGrid, ring_sums) -> float:
 
 
 def _area_fraction(member: np.ndarray, grid: AngularGrid) -> float:
-    """Quadrature weight of the member cells over the grid's coverage."""
+    """Quadrature weight of the member cells over that of the sphere."""
     w_mask = _integrate(grid, member.sum(axis=1))
     if w_mask <= 0.0:
         return 0.0

@@ -73,8 +73,6 @@ class PolarizedPattern:
 def isotropic(eirp_mw: float = 1.0, grid: AngularGrid | None = None,
               frequency_hz: float = 28e9, label: str = "isotropic") -> PolarizedPattern:
     """Isotropic pattern with the power split evenly between polarizations."""
-    if eirp_mw < 0:
-        raise ValueError("EIRP must be non-negative")
     if grid is None:
         grid = AngularGrid.standard()
     half = np.full((grid.n_theta, grid.n_phi), eirp_mw / 2.0)
@@ -166,49 +164,44 @@ def fill_unmeasured(p: PolarizedPattern, fill_mw: float = 0.0) -> PolarizedPatte
     return PolarizedPattern(p.grid, et, ep, p.frequency_hz, p.label, None)
 
 
-def _axis_nodes(q, axis: np.ndarray, step: float, wrap: bool):
+def _axis_nodes(q, step: float, n: int, wrap: bool):
     """Bracketing node indices (k0, k1) and the fraction toward k1 of each
-    query on an equispaced axis. Queries within 1e-9 deg of a node snap to
-    it; off-axis queries wrap modulo 360 if wrap, else clamp to the ends."""
+    query on the axis 0, step, ..., (n - 1) * step. Queries within 1e-9 deg
+    of a node snap to it. phi wraps modulo 360; theta lies in [0, 180], and
+    its last ring is its own upper neighbour."""
     q = np.asarray(q, dtype=float)
-    if wrap:
-        x = ((q - axis[0]) % 360.0) / step
-    else:
-        x = (np.clip(q, axis[0], axis[-1]) - axis[0]) / step
+    x = (q % 360.0 if wrap else q) / step
     k0 = np.floor(x).astype(int)
     frac = x - k0
     snap = ANGLE_TOL_DEG / step
     hi = frac > 1.0 - snap
     k0 += hi
     frac[hi | (frac < snap)] = 0.0
-    n = axis.size
     if wrap:
         k0 = k0 % n
         return k0, (k0 + 1) % n, frac
-    k0 = np.clip(k0, 0, n - 1)
     return k0, np.minimum(k0 + 1, n - 1), frac
 
 
-def _sample(p: PolarizedPattern, theta_deg, phi_deg) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized bilinear samples of both polarizations; the bracketing
-    nodes and fractions are computed once for the two."""
-    g = p.grid
-    i0, i1, ft = _axis_nodes(theta_deg, g.theta_deg, g.dtheta_deg, wrap=False)
-    j0, j1, fp = _axis_nodes(phi_deg, g.phi_deg, g.dphi_deg, wrap=g.phi_spans_circle)
+def _sample(grid: AngularGrid, theta_deg, phi_deg, *fields) -> tuple[np.ndarray, ...]:
+    """Vectorized bilinear samples of each field on a standard grid; the
+    bracketing nodes and fractions are computed once for all of them."""
+    i0, i1, ft = _axis_nodes(theta_deg, grid.dtheta_deg, grid.n_theta, wrap=False)
+    j0, j1, fp = _axis_nodes(phi_deg, grid.dphi_deg, grid.n_phi, wrap=True)
     return tuple((1 - ft) * ((1 - fp) * v[i0, j0] + fp * v[i0, j1])
                  + ft * ((1 - fp) * v[i1, j0] + fp * v[i1, j1])
-                 for v in (p.eirp_theta_mw, p.eirp_phi_mw))
+                 for v in fields)
 
 
 def sample_bilinear(p: PolarizedPattern, d: Direction) -> tuple[float, float]:
     """Bilinear-interpolated (EIRP_theta, EIRP_phi) in mW at a direction.
 
     Exact grid-node queries (within 1e-9 deg) return stored values; phi
-    wraps modulo 360 and theta clamps to the sampled rings.
+    wraps modulo 360.
     """
     if p.grid.convention is not Convention.STANDARD:
         raise ValueError("sample_bilinear expects a standard-convention pattern")
-    et, ep = _sample(p, [d.theta_deg], [d.phi_deg])
+    et, ep = _sample(p.grid, [d.theta_deg], [d.phi_deg], p.eirp_theta_mw, p.eirp_phi_mw)
     return float(et[0]), float(ep[0])
 
 
@@ -217,8 +210,11 @@ def rotate_about_y(p: PolarizedPattern, alpha_deg: float) -> PolarizedPattern:
 
     Each output direction is mapped through the inverse rotation and the
     source is sampled bilinearly; per-polarization power is transported as
-    a scalar (no polarization-basis re-projection).
+    a scalar (no polarization-basis re-projection). An output cell is
+    measured only if every source node with a nonzero weight is measured.
     """
+    if not math.isfinite(alpha_deg):
+        raise ValueError(f"rotation angle alpha_deg must be finite, got {alpha_deg:g}")
     if p.grid.convention is not Convention.STANDARD:
         raise ValueError("rotate_about_y expects a standard-convention pattern")
     if alpha_deg == 0.0:
@@ -232,6 +228,12 @@ def rotate_about_y(p: PolarizedPattern, alpha_deg: float) -> PolarizedPattern:
     z = -u[..., 0] * sb + u[..., 2] * cb
     src = np.stack([x, u[..., 1], z], axis=-1)
     ts, ps = unit_to_sph(src)
-    et, ep = (v.reshape(tt.shape) for v in _sample(p, ts.ravel(), ps.ravel()))
+    fields = (p.eirp_theta_mw, p.eirp_phi_mw)
+    if p.measured is not None:
+        # Weights are non-negative, so the sampled blind indicator is exactly
+        # zero only where no blind node carries weight.
+        fields += ((~p.measured).astype(float),)
+    et, ep, *blind = (v.reshape(tt.shape) for v in _sample(g, ts.ravel(), ps.ravel(), *fields))
     label = f"{p.label} (rotated {alpha_deg:g} deg about y)" if p.label else ""
-    return PolarizedPattern(g, et, ep, p.frequency_hz, label)
+    return PolarizedPattern(g, et, ep, p.frequency_hz, label,
+                            blind[0] == 0.0 if blind else None)

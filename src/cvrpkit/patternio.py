@@ -3,8 +3,10 @@
 Pattern files are UTF-8 CSV with "# key: value" metadata lines, a
 ``theta_deg,phi_deg,eirp_theta_dbm,eirp_phi_dbm`` header, and one row per
 grid cell in theta-major ascending order. Power is written in dBm with
-12 significant digits; zero linear power is written as "-inf". Cells
-absent from the file are marked unmeasured on load.
+12 significant digits; zero linear power is written as "-inf". The writer
+emits every cell, measured or not. A standard-convention file is always
+read onto the full-sphere grid of its steps, and the cells it leaves out
+are marked unmeasured; a distributed file spans the rows it lists.
 """
 
 from __future__ import annotations
@@ -68,7 +70,8 @@ def _parse_dbm(text: str, path: str, lineno: int) -> float:
 
 
 def write_pattern(p: PolarizedPattern, path: str) -> None:
-    """Write a pattern file; all grid cells are emitted, zeros as "-inf"."""
+    """Write a pattern file; all grid cells are emitted, zeros as "-inf",
+    so unmeasured cells read back as measured zero power."""
     g = p.grid
     lines = [
         f"# format_version: {FORMAT_VERSION}",
@@ -88,7 +91,8 @@ def write_pattern(p: PolarizedPattern, path: str) -> None:
 
 
 def read_pattern(path: str) -> PolarizedPattern:
-    """Read a pattern file; absent (theta, phi) cells are unmeasured.
+    """Read a pattern file; absent (theta, phi) cells are unmeasured, and
+    a standard-convention file is placed on the full-sphere grid.
 
     Metadata lines precede the column header. The body is parsed in bulk;
     a row that fails a check is reported as "path:lineno: ...".
@@ -132,9 +136,16 @@ def read_pattern(path: str) -> PolarizedPattern:
     if not rows.size:
         raise ValueError(f"{path}: file contains no samples")
 
-    theta_axis, i = _axis_indices(rows[:, 0], dtheta, path, "theta")
-    phi_axis, j = _axis_indices(rows[:, 1], dphi, path, "phi")
-    grid = AngularGrid(theta_axis, phi_axis, dtheta, dphi, convention)
+    try:
+        if convention is Convention.STANDARD:
+            grid = AngularGrid.standard(dtheta, dphi)
+        else:
+            grid = AngularGrid(_span_axis(rows[:, 0], dtheta, "theta"),
+                               _span_axis(rows[:, 1], dphi, "phi"), dtheta, dphi, convention)
+        i = _node_indices(rows[:, 0], grid.theta_deg, dtheta, "theta")
+        j = _node_indices(rows[:, 1], grid.phi_deg, dphi, "phi")
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
     cells = i * grid.n_phi + j
     et, ep = np.zeros((2, grid.n_theta, grid.n_phi))
     meas = np.zeros(et.shape, dtype=bool)
@@ -199,22 +210,26 @@ def _row_error(body: str, path: str, lineno: int, duplicate: int = -1) -> ValueE
     return ValueError(f"{path}: unreadable pattern body")
 
 
-def _axis_indices(values: np.ndarray, step: float, path: str,
-                  name: str) -> tuple[np.ndarray, np.ndarray]:
-    """The equispaced axis spanning values, and each value's index on it."""
-    uniq, inverse = np.unique(values, return_inverse=True)
-    lo, hi = float(uniq[0]), float(uniq[-1])
+def _span_axis(values: np.ndarray, step: float, name: str) -> np.ndarray:
+    """The equispaced axis from the least to the greatest of values."""
+    lo, hi = float(values.min()), float(values.max())
     n = round((hi - lo) / step)
     if abs(lo + n * step - hi) > ANGLE_TOL_DEG:
-        raise ValueError(f"{path}: {name} span is not a multiple of the declared step")
-    k = np.rint((uniq - lo) / step)
-    off = np.abs(lo + k * step - uniq) > ANGLE_TOL_DEG
-    if off.any():
-        raise ValueError(f"{path}: {name}={float(uniq[off.argmax()])} is "
-                         f"inconsistent with step {step}")
+        raise ValueError(f"{name} span is not a multiple of the declared step")
     if n < 1:
-        raise ValueError(f"{path}: {name} axis needs at least two samples")
-    return lo + np.arange(n + 1) * step, k.astype(np.intp)[inverse]
+        raise ValueError(f"{name} axis needs at least two samples")
+    return lo + np.arange(n + 1) * step
+
+
+def _node_indices(values: np.ndarray, axis: np.ndarray, step: float, name: str) -> np.ndarray:
+    """Each value's index on an equispaced axis."""
+    lo = axis[0]
+    k = np.rint((values - lo) / step)
+    off = (np.abs(lo + k * step - values) > ANGLE_TOL_DEG) | (k < 0) | (k >= axis.size)
+    if off.any():
+        raise ValueError(f"{name}={float(values[off.argmax()])} lies outside "
+                         f"[{lo:g}, {axis[-1]:g}] or is inconsistent with step {step}")
+    return k.astype(np.intp)
 
 
 def write_sweep_csv(s: CvrpSweep | SweepComparison, path: str) -> None:

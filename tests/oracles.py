@@ -104,12 +104,12 @@ def mc_cap_mean(f, center_theta_deg: float, center_phi_deg: float,
     return float(samples.mean()), float(samples.std(ddof=1) / math.sqrt(n_samples))
 
 
-def sample_component_reference(values: np.ndarray, grid: AngularGrid,
-                               theta_deg: np.ndarray, phi_deg: np.ndarray) -> np.ndarray:
-    """Bilinear sampling of one polarization matrix, as the library wrote
-    it when the theta and phi axes each had their own copy of the
-    floor/snap/clamp-or-wrap logic. sample_bilinear and rotate_about_y
-    must match it bit for bit."""
+def bilinear_nodes_reference(grid: AngularGrid, theta_deg: np.ndarray,
+                             phi_deg: np.ndarray):
+    """(i0, i1, ft, j0, j1, fp): the bracketing theta rings and phi columns
+    of each query and its fractions toward i1 and j1, as the library wrote
+    them when the theta and phi axes each had their own copy of the
+    floor/snap/clamp-or-wrap logic (phi always wraps on a standard grid)."""
     t0 = grid.theta_deg[0]
     dt, dp = grid.dtheta_deg, grid.dphi_deg
     n_t, n_p = grid.n_theta, grid.n_phi
@@ -128,10 +128,7 @@ def sample_component_reference(values: np.ndarray, grid: AngularGrid,
 
     p0 = grid.phi_deg[0]
     pq = np.asarray(phi_deg, dtype=float)
-    if grid.phi_spans_circle:
-        pj = ((pq - p0) % 360.0) / dp
-    else:
-        pj = (np.clip(pq, grid.phi_deg[0], grid.phi_deg[-1]) - p0) / dp
+    pj = ((pq - p0) % 360.0) / dp
     j0 = np.floor(pj).astype(int)
     fp = pj - j0
     snap_p = ANGLE_TOL_DEG / dp
@@ -139,13 +136,17 @@ def sample_component_reference(values: np.ndarray, grid: AngularGrid,
     j0[hj] += 1
     fp[hj] = 0.0
     fp[fp < snap_p] = 0.0
-    if grid.phi_spans_circle:
-        j0 = j0 % n_p
-        j1 = (j0 + 1) % n_p
-    else:
-        j0 = np.clip(j0, 0, n_p - 1)
-        j1 = np.minimum(j0 + 1, n_p - 1)
+    j0 = j0 % n_p
+    j1 = (j0 + 1) % n_p
+    return i0, i1, ft, j0, j1, fp
 
+
+def sample_component_reference(values: np.ndarray, grid: AngularGrid,
+                               theta_deg: np.ndarray, phi_deg: np.ndarray) -> np.ndarray:
+    """Bilinear sampling of one polarization matrix at the nodes of
+    bilinear_nodes_reference. sample_bilinear and rotate_about_y must
+    match it bit for bit."""
+    i0, i1, ft, j0, j1, fp = bilinear_nodes_reference(grid, theta_deg, phi_deg)
     v00 = values[i0, j0]
     v01 = values[i0, j1]
     v10 = values[i1, j0]
@@ -154,11 +155,9 @@ def sample_component_reference(values: np.ndarray, grid: AngularGrid,
             + ft * ((1 - fp) * v10 + fp * v11))
 
 
-def rotate_about_y_reference(p: PolarizedPattern,
-                             alpha_deg: float) -> tuple[np.ndarray, np.ndarray]:
-    """(EIRP_theta, EIRP_phi) of rotate_about_y(p, alpha_deg), resampled
-    with sample_component_reference; the rotation geometry is the library's."""
-    g = p.grid
+def _rotation_sources(g: AngularGrid, alpha_deg: float):
+    """Source (theta, phi) of every node of g under a rotation by alpha_deg
+    about y; the rotation geometry is the library's."""
     tt, pp = np.meshgrid(g.theta_deg, g.phi_deg, indexing="ij")
     u = sph_to_unit(tt, pp)
     beta = np.radians(-alpha_deg)
@@ -166,5 +165,28 @@ def rotate_about_y_reference(p: PolarizedPattern,
     x = u[..., 0] * cb + u[..., 2] * sb
     z = -u[..., 0] * sb + u[..., 2] * cb
     ts, ps = unit_to_sph(np.stack([x, u[..., 1], z], axis=-1))
-    return tuple(sample_component_reference(v, g, ts.ravel(), ps.ravel()).reshape(tt.shape)
+    return ts.ravel(), ps.ravel()
+
+
+def rotate_about_y_reference(p: PolarizedPattern,
+                             alpha_deg: float) -> tuple[np.ndarray, np.ndarray]:
+    """(EIRP_theta, EIRP_phi) of rotate_about_y(p, alpha_deg), resampled
+    with sample_component_reference."""
+    g = p.grid
+    ts, ps = _rotation_sources(g, alpha_deg)
+    return tuple(sample_component_reference(v, g, ts, ps).reshape(v.shape)
                  for v in (p.eirp_theta_mw, p.eirp_phi_mw))
+
+
+def rotated_measured_reference(p: PolarizedPattern, alpha_deg: float) -> np.ndarray:
+    """Measured mask of rotate_about_y(p, alpha_deg): an output cell is
+    measured when each of its four bracketing source nodes either is
+    measured or has a bilinear weight of exactly zero."""
+    g = p.grid
+    i0, i1, ft, j0, j1, fp = bilinear_nodes_reference(g, *_rotation_sources(g, alpha_deg))
+    src = p.measured_mask()
+    out = np.ones(i0.shape, dtype=bool)
+    for i, wi in ((i0, 1 - ft), (i1, ft)):
+        for j, wj in ((j0, 1 - fp), (j1, fp)):
+            out &= src[i, j] | (wi * wj == 0.0)
+    return out.reshape(src.shape)

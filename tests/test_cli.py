@@ -13,6 +13,7 @@ from cvrpkit import (
     ElementModel,
     SphericalMask,
     cvrp,
+    fill_unmeasured,
     prp_preset,
     read_pattern,
     read_sweep_csv,
@@ -162,6 +163,7 @@ class TestScalarCommands:
     @pytest.mark.parametrize("old, new, message", [
         ("90,0,10,0", "90,0,4000,0", "bad.csv:9: dBm value '4000' overflows"),
         ("dtheta_deg: 90", "dtheta_deg: 0", "bad.csv: dtheta_deg and dphi_deg must be positive"),
+        ("dtheta_deg: 90", "dtheta_deg: 70", "bad.csv: dtheta_deg=70 must divide 180 degrees"),
     ])
     def test_bad_number_in_file_is_domain_error(self, tmp_path, old, new, message):
         from test_io import TOY
@@ -181,6 +183,32 @@ class TestScalarCommands:
         code, _, err = run(capsys, ["trp", "/nonexistent/nope.csv"])
         assert code == 1
         assert "error:" in err
+
+
+class TestNonFiniteArguments:
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    @pytest.mark.parametrize("argv, message", [
+        (["synth", "--element", "cosine", "--step-deg", "{}", "-o", "{out}"],
+         "grid steps must be positive and finite"),
+        (["synth", "--element", "cosine", "--spacing-wl", "{}", "-o", "{out}"],
+         "spacing_wl must be positive and finite"),
+        (["rotate", "{pattern}", "--about-y", "{}", "-o", "{out}"],
+         "rotation angle alpha_deg must be finite"),
+        (["diagnose", "--ref", "{sweep}", "--test", "{sweep}", "--threshold-db", "{}",
+          "-o", "{out}"],
+         "threshold must be positive and finite"),
+        (["repro-fig6", "--threshold-db", "{}", "--outdir", "{out}"],
+         "threshold must be positive and finite"),
+    ])
+    def test_rejected_before_numpy(self, tmp_path, capsys, pattern_file, argv, message, value):
+        sweep = tmp_path / "sweep.csv"
+        write_sweep_csv(CvrpSweep(((90.0, 1.0), (30.0, 0.5))), str(sweep))
+        out = tmp_path / "out"
+        code, stdout, err = run(capsys, [a.format(value, out=out, pattern=pattern_file,
+                                                  sweep=sweep) for a in argv])
+        assert code == 1 and stdout == ""
+        assert err.startswith("error:") and message in err and err.count("\n") == 1
+        assert not out.is_file() and not (out.is_dir() and any(out.iterdir()))
 
 
 class TestPipelines:
@@ -299,6 +327,26 @@ class TestDeterminism:
         assert code == 1
         assert err.startswith("error: fill power must be finite and non-negative")
         assert "Traceback" not in err and not out.exists()
+
+    def test_fill_partial_standard_file(self, tmp_path, capsys, pattern_file):
+        # A standard file that lists theta <= 90 only: fill sets the absent
+        # lower rows, and trp of the filled file is the in-process value.
+        lines = Path(pattern_file).read_text(encoding="utf-8").splitlines(keepends=True)
+        head = lines.index("theta_deg,phi_deg,eirp_theta_dbm,eirp_phi_dbm\n") + 1
+        partial = tmp_path / "partial.csv"
+        partial.write_text("".join(lines[:head] + [ln for ln in lines[head:]
+                                                   if float(ln.split(",")[0]) <= 90.0]),
+                           encoding="utf-8")
+        filled = tmp_path / "filled.csv"
+        assert cli_main(["fill", str(partial), "--fill-mw", "1", "-o", str(filled)]) == 0
+        rows = filled.read_text(encoding="utf-8").splitlines()[head:]
+        assert len(rows) == len(lines) - head
+        assert all(r.endswith(",0,0") for r in rows if float(r.split(",")[0]) > 90.0)
+        capsys.readouterr()
+        code, out, _ = run(capsys, ["trp", str(filled)])
+        want = trp(fill_unmeasured(read_pattern(str(partial)), 1.0))
+        assert code == 0 and out == fmt_power("TRP", want) + "\n"
+        assert want > 1.9  # the ~1 mW cosine array plus ~1 mW over the lower half
 
     def test_fill_round_trip_identity(self, tmp_path, pattern_file):
         out = tmp_path / "filled.csv"

@@ -18,13 +18,34 @@ def test_standard_factory_spans_sphere():
     assert g.theta_deg[0] == 0.0
     assert g.theta_deg[-1] == 180.0
     assert g.phi_deg[-1] == 358.5
-    assert g.phi_spans_circle
 
 
-@pytest.mark.parametrize("dtheta, dphi", [(0.0, 1.5), (1.5, 0.0), (-1.5, 1.5), (float("nan"), 1.5)])
+@pytest.mark.parametrize("dtheta, dphi", [(0.0, 1.5), (1.5, 0.0), (-1.5, 1.5), (float("nan"), 1.5),
+                                          (float("inf"), 1.5), (1.5, float("inf"))])
 def test_standard_factory_rejects_non_positive_step(dtheta, dphi):
-    with pytest.raises(ValueError, match="steps must be positive"):
+    with pytest.raises(ValueError, match="steps must be positive and finite"):
         AngularGrid.standard(dtheta, dphi)
+
+
+@pytest.mark.parametrize("dtheta, dphi, message", [
+    (70.0, 90.0, "dtheta_deg=70 must divide 180 degrees"),
+    (90.0, 7.0, "dphi_deg=7 must divide 360 degrees"),
+])
+def test_standard_step_must_divide_circle(dtheta, dphi, message):
+    with pytest.raises(ValueError, match=message):
+        AngularGrid.standard(dtheta, dphi)
+
+
+@pytest.mark.parametrize("theta, phi", [
+    (np.arange(61) * 1.5, np.arange(240) * 1.5),         # theta 0..90
+    (30.0 + np.arange(61) * 1.5, np.arange(240) * 1.5),  # theta 30..120
+    (np.arange(121) * 1.5, np.arange(120) * 1.5),        # phi 0..178.5
+    (np.arange(121) * 1.5, 10.0 + np.arange(240) * 1.5),  # phi shifted
+])
+def test_standard_grid_is_full_sphere(theta, phi):
+    with pytest.raises(ValueError, match="standard convention requires the full sphere"):
+        AngularGrid(theta, phi, 1.5, 1.5, Convention.STANDARD)
+    AngularGrid(theta - 90.0, phi[phi <= 180.0], 1.5, 1.5, Convention.DISTRIBUTED)
 
 
 def test_non_equispaced_rejected():

@@ -4,10 +4,13 @@ import pytest
 from cvrpkit import (
     CvrpSweep,
     PolarizedPattern,
+    SphericalMask,
     compare_sweeps,
+    cvrp,
     cvrp_sweep,
     read_pattern,
     read_sweep_csv,
+    trp,
     write_pattern,
     write_sweep_csv,
 )
@@ -160,11 +163,47 @@ class TestReadPattern:
         ("frequency_hz: 2.8e+10", "frequency_hz: nan", r"toy\.csv: frequency_hz must be positive"),
         ("frequency_hz: 2.8e+10", "frequency_hz: inf", r"toy\.csv: frequency_hz must be positive"),
         (BODY, "", r"toy\.csv: file contains no samples"),
-        ("dtheta_deg: 90", "dtheta_deg: 70", r"toy\.csv: theta span is not a multiple of the declared step"),
+        ("dtheta_deg: 90", "dtheta_deg: 70", r"toy\.csv: dtheta_deg=70 must divide 180 degrees"),
+        ("dphi_deg: 180", "dphi_deg: 140", r"toy\.csv: dphi_deg=140 must divide 360 degrees"),
     ])
     def test_bad_metadata_rejected(self, tmp_path, old, new, message):
         with pytest.raises(ValueError, match=message):
             read_pattern(write_toy(tmp_path, TOY.replace(old, new)))
+
+    def test_partial_standard_file_on_full_sphere(self, tmp_path, std_grid):
+        # An isotropic 1 mW pattern measured for theta <= 90 only: the file
+        # leaves out the lower rows; in memory they are zero and unmeasured.
+        upper = np.broadcast_to((std_grid.theta_deg <= 90.0)[:, None],
+                                (std_grid.n_theta, std_grid.n_phi))
+        p = PolarizedPattern(std_grid, np.where(upper, 1.0, 0.0),
+                             np.zeros(upper.shape), measured=upper)
+        full = tmp_path / "full.csv"
+        write_pattern(p, str(full))
+        lines = full.read_text(encoding="utf-8").splitlines(keepends=True)
+        header = lines.index("theta_deg,phi_deg,eirp_theta_dbm,eirp_phi_dbm\n") + 1
+        kept = [ln for ln in lines[header:] if float(ln.split(",")[0]) <= 90.0]
+        assert len(kept) == upper.sum()
+        half = tmp_path / "half.csv"
+        half.write_text("".join(lines[:header] + kept), encoding="utf-8")
+
+        q = read_pattern(str(half))
+        assert np.array_equal(q.grid.theta_deg, std_grid.theta_deg)
+        assert np.array_equal(q.grid.phi_deg, std_grid.phi_deg)
+        assert np.array_equal(q.measured, upper)
+        assert np.array_equal(q.total_mw, p.total_mw)
+        cap = SphericalMask.cap(Direction(0.0, 0.0), 30.0)
+        assert trp(q) == trp(p)
+        assert cvrp(q, cap) == cvrp(p, cap)
+        assert cvrp(q, cap) == pytest.approx(0.99994, abs=1e-5)
+
+    @pytest.mark.parametrize("row, message", [
+        ("270,0,0,0", r"toy\.csv: theta=270.0 lies outside \[0, 180\]"),
+        ("90,360,0,0", r"toy\.csv: phi=360.0 lies outside \[0, 180\]"),
+        ("-90,0,0,0", r"toy\.csv: theta=-90.0 lies outside \[0, 180\]"),
+    ])
+    def test_standard_row_off_sphere_rejected(self, tmp_path, row, message):
+        with pytest.raises(ValueError, match=message):
+            read_pattern(write_toy(tmp_path, TOY + row + "\n"))
 
     def test_distributed_convention(self, tmp_path):
         text = TOY.replace("convention: standard", "convention: distributed")

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from cvrpkit import SphericalMask, apply_mask, window_bounds
+from cvrpkit import SphericalMask
 from cvrpkit.grid import Direction
 from cvrpkit.masks import MaskKind, membership
 
@@ -38,29 +38,6 @@ class TestSolidAngles:
             SphericalMask.cap(Direction(0, 0), 181.0)
 
 
-class TestWindowBounds:
-    def test_centered_window(self):
-        m = window_bounds(Direction(90.0, 180.0), 60.0, 40.0)
-        assert m.theta_min_deg == 60.0
-        assert m.theta_max_deg == 120.0
-        assert m.phi_min_deg == 160.0
-        assert m.phi_max_deg == 200.0
-
-    def test_theta_clamped_at_pole(self):
-        m = window_bounds(Direction(10.0, 0.0), 60.0, 90.0)
-        assert m.theta_min_deg == 0.0
-        assert m.theta_max_deg == 40.0
-
-    def test_phi_wraps(self):
-        m = window_bounds(Direction(90.0, 10.0), 30.0, 60.0)
-        assert m.phi_min_deg == pytest.approx(340.0)
-        assert m.phi_extent_deg == pytest.approx(60.0)
-
-    def test_degenerate_theta_rejected(self):
-        with pytest.raises(ValueError):
-            window_bounds(Direction(0.0, 0.0), 0.0, 90.0)
-
-
 class TestMembership:
     def test_cap_at_pole(self, std_grid):
         mem = membership(SphericalMask.cap(Direction(0, 0), 30.0), std_grid)
@@ -85,18 +62,6 @@ class TestMembership:
 
     def test_full_sphere_all_true(self, std_grid):
         assert membership(SphericalMask.full_sphere(), std_grid).all()
-
-
-class TestApplyMask:
-    def test_zeroes_outside_only(self, iso_pattern):
-        m = SphericalMask.cap(Direction(0, 0), 45.0)
-        masked = apply_mask(iso_pattern, m)
-        mem = membership(m, iso_pattern.grid)
-        assert np.all(masked.total_mw[mem] == 1.0)
-        assert np.all(masked.total_mw[~mem] == 0.0)
-
-    def test_full_sphere_returns_same_object(self, iso_pattern):
-        assert apply_mask(iso_pattern, SphericalMask.full_sphere()) is iso_pattern
 
     def test_kind_enum(self):
         assert SphericalMask.cap(Direction(0, 0), 10.0).kind is MaskKind.CAP

@@ -19,7 +19,11 @@ from cvrpkit import (
 )
 from cvrpkit.grid import ANGLE_TOL_DEG, AngularGrid, Convention, Direction, sph_to_unit
 
-from oracles import rotate_about_y_reference, sample_component_reference
+from oracles import (
+    rotate_about_y_reference,
+    rotated_measured_reference,
+    sample_component_reference,
+)
 
 
 def make_distributed(value_mw=1.0, dtheta=1.5, dphi=1.5):
@@ -338,20 +342,12 @@ class TestRotation:
         assert rel.max() < 0.05
 
 
-def _partial_grid(theta0, n_theta, phi0, n_phi, step):
-    return AngularGrid(theta0 + step * np.arange(n_theta), phi0 + step * np.arange(n_phi),
-                       step, step)
-
-
-# Full grids at four steps, a cap of rings with a full phi circle, and a
-# patch whose phi axis clamps instead of wrapping.
+# Full grids at four steps; a standard grid is always the full sphere.
 REFERENCE_GRIDS = {
     "full-0.5": AngularGrid.standard(0.5, 0.5),
     "full-1.5": AngularGrid.standard(1.5, 1.5),
     "full-5": AngularGrid.standard(5.0, 5.0),
     "full-15": AngularGrid.standard(15.0, 15.0),
-    "rings-0-90": _partial_grid(0.0, 31, 0.0, 120, 3.0),
-    "patch": _partial_grid(30.0, 61, 10.0, 61, 1.5),
 }
 
 
@@ -391,8 +387,14 @@ class TestSamplingMatchesReference:
     @pytest.mark.parametrize("name", REFERENCE_GRIDS)
     @pytest.mark.parametrize("alpha", [-45.0, 17.0, 90.0, 180.0])
     def test_rotate_about_y(self, name, alpha, rng):
-        p = _random_pattern(REFERENCE_GRIDS[name], rng)
+        g = REFERENCE_GRIDS[name]
+        blind = rng.random((g.n_theta, g.n_phi)) < 0.05
+        blind[g.n_theta // 3:g.n_theta // 2, g.n_phi // 4:g.n_phi // 3] = True  # a region
+        p = _random_pattern(g, rng)
+        p = PolarizedPattern(g, p.eirp_theta_mw, p.eirp_phi_mw, measured=~blind)
         rot = rotate_about_y(p, alpha)
         et, ep = rotate_about_y_reference(p, alpha)
         assert np.array_equal(rot.eirp_theta_mw, et)
         assert np.array_equal(rot.eirp_phi_mw, ep)
+        want = rotated_measured_reference(p, alpha)
+        assert not want.all() and np.array_equal(rot.measured, want)
