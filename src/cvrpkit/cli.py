@@ -45,7 +45,7 @@ def _print_power(name: str, mw: float) -> None:
 
 def _spec_from_args(args) -> ArraySpec:
     scan = args.scan
-    if getattr(args, "beam", None) is not None:
+    if args.beam is not None:
         scan = arraysynth.beam_angle_deg(args.beam)
     return ArraySpec(
         element=ElementModel(args.element),

@@ -1,19 +1,26 @@
 """Pattern and sweep CSV formats.
 
-Pattern files are UTF-8 CSV with "# key: value" metadata lines, a
-``theta_deg,phi_deg,eirp_theta_dbm,eirp_phi_dbm`` header, and one row per
-grid cell in theta-major ascending order. Power is written in dBm with
-12 significant digits; zero linear power is written as "-inf". The writer
-emits every cell, measured or not. A standard-convention file is always
-read onto the full-sphere grid of its steps, and the cells it leaves out
-are marked unmeasured; a distributed file spans the rows it lists.
+Both are one table grammar: UTF-8 text with "# key: value" metadata lines
+before an exact column header, then rows of comma-separated angle columns
+followed by as many power columns in dBm. Blank and "#" lines after the
+header are skipped, and a bad row is reported as "path:line: ...".
+
+Pattern files have a ``theta_deg,phi_deg,eirp_theta_dbm,eirp_phi_dbm``
+header and one row per grid cell in theta-major ascending order. Power is
+written in dBm with 12 significant digits; zero linear power is written as
+"-inf". The writer emits every cell, measured or not. A standard-convention
+file is always read onto the full-sphere grid of its steps, and the cells
+it leaves out are marked unmeasured; a distributed file spans the rows it
+lists.
 """
 
 from __future__ import annotations
 
+import functools
 import io
 import math
 import re
+from collections.abc import Callable, Iterable
 
 import numpy as np
 
@@ -31,10 +38,8 @@ _COMPARISON_HEADER = "fov_deg,ref_dbm,test_dbm,delta_db,flagged"
 # A blank or "#" line with the newline before it, hidden from the bulk parser.
 _SKIPPED = re.compile(r"\n[^\S\n]*(?:#.*)?(?=\n|\Z)")
 
-_CONVENTIONS = {
-    "standard": Convention.STANDARD,
-    "distributed": Convention.DISTRIBUTED,
-}
+# Builds the ValueError of data row k (0-based) with a message at its file line.
+_RowError = Callable[[int, str], ValueError]
 
 
 def _fmt(x: float) -> str:
@@ -55,39 +60,121 @@ def _number(text: str) -> float:
     return float(t)
 
 
-def _parse_dbm(text: str, path: str, lineno: int) -> float:
-    """Linear power of a dBm field; -inf (any spelling) is zero power."""
+def _read_table(path: str, header: str) -> tuple[dict[str, str], np.ndarray, _RowError]:
+    """The metadata, rows and row-error builder of a table file.
+
+    "# key: value" lines before the exact column header are metadata. The
+    body, less blank and "#" lines, is parsed in one call: the first half
+    of the header's columns are angles, which must be finite; the rest are
+    dBm, returned as linear mW (-inf is zero power, +inf and NaN are
+    rejected). A body that fails raises the error of its first bad row.
+    """
+    meta: dict[str, str] = {}
+    lineno = 0
     try:
-        dbm = _number(text)
-    except ValueError:
-        raise ValueError(f"{path}:{lineno}: non-numeric dBm value {text!r}") from None
-    if math.isnan(dbm) or dbm == math.inf:
-        raise ValueError(f"{path}:{lineno}: non-finite dBm value {text!r}")
+        with open(path, encoding="utf-8") as fh:
+            for raw in iter(fh.readline, ""):
+                lineno += 1
+                line = raw.strip()
+                if not line:
+                    continue
+                if line.startswith("#"):
+                    key, sep, value = line[1:].partition(":")
+                    if sep:
+                        meta[key.strip()] = value.strip()
+                    continue
+                if line != header:
+                    raise ValueError(f"{path}:{lineno}: unexpected column header {line!r}")
+                break
+            body = fh.read()
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: not UTF-8 text "
+                         f"(byte 0x{exc.object[exc.start]:02x}: {exc.reason})") from None
+
+    width = header.count(",") + 1
+    n = width // 2
+    row_error = functools.partial(_row_error, body, path, lineno, width)
+    data = _SKIPPED.sub("", "\n" + body)
+    if not data:
+        return meta, np.empty((0, width)), row_error
     try:
-        return 10.0 ** (dbm / 10.0)
-    except OverflowError:
-        raise ValueError(f"{path}:{lineno}: dBm value {text!r} overflows linear power") from None
+        rows = np.loadtxt(io.StringIO(data), delimiter=",", comments=None, ndmin=2)
+        if (rows.shape[1] != width or not np.isfinite(rows[:, :n]).all()
+                or not (rows[:, n:] < np.inf).all()):
+            raise ValueError
+        # Python's float power, not np.power, which differs in the last bit
+        # for some values; -inf dBm gives exactly 0.0.
+        mw = [10.0 ** x for x in (rows[:, n:] / 10.0).ravel().tolist()]
+    except (ValueError, OverflowError):
+        raise row_error() from None
+    rows[:, n:] = np.reshape(mw, (-1, width - n))
+    return meta, rows, row_error
+
+
+def _row_error(body: str, path: str, lineno: int, width: int,
+               at: int = -1, message: str = "") -> ValueError:
+    """message at the data row with index at, or else the error of the
+    first body row that fails a per-row check. lineno is the header's line."""
+    n = width // 2
+    for raw in body.split("\n"):
+        lineno += 1
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        if at == 0:
+            return ValueError(f"{path}:{lineno}: {message}")
+        at -= 1
+        parts = line.split(",")
+        if len(parts) != width:
+            return ValueError(f"{path}:{lineno}: expected {width} columns, got {len(parts)}")
+        for col, text in enumerate(parts):
+            kind = "angle" if col < n else "dBm value"
+            try:
+                x = _number(text)
+            except ValueError:
+                return ValueError(f"{path}:{lineno}: non-numeric {kind} {text!r}")
+            if math.isnan(x) or x == math.inf or (col < n and x == -math.inf):
+                return ValueError(f"{path}:{lineno}: non-finite {kind} {text!r}")
+            if col >= n:
+                try:
+                    10.0 ** (x / 10.0)  # the linear power the bulk parse computes
+                except OverflowError:
+                    return ValueError(
+                        f"{path}:{lineno}: dBm value {text!r} overflows linear power")
+    return ValueError(f"{path}: unreadable table body")
+
+
+def _write_table(path: str, meta: dict[str, str], header: str, rows: Iterable[str]) -> None:
+    """Write "# key: value" metadata lines, the header and the formatted rows."""
+    lines = [f"# {key}: {value}" for key, value in meta.items()]
+    lines.append(header)
+    lines += rows
+    try:
+        with open(path, "w", encoding="utf-8", newline="\n") as fh:
+            fh.write("\n".join(lines) + "\n")
+    except OSError as exc:
+        raise ValueError(f"cannot write {path}: {exc}") from exc
 
 
 def write_pattern(p: PolarizedPattern, path: str) -> None:
     """Write a pattern file; all grid cells are emitted, zeros as "-inf",
     so unmeasured cells read back as measured zero power."""
     g = p.grid
-    lines = [
-        f"# format_version: {FORMAT_VERSION}",
-        f"# frequency_hz: {_fmt(p.frequency_hz)}",
-        f"# convention: {g.convention.value}",
-        f"# dtheta_deg: {_fmt(g.dtheta_deg)}",
-        f"# dphi_deg: {_fmt(g.dphi_deg)}",
-    ]
+    meta = {
+        "format_version": FORMAT_VERSION,
+        "frequency_hz": _fmt(p.frequency_hz),
+        "convention": g.convention.value,
+        "dtheta_deg": _fmt(g.dtheta_deg),
+        "dphi_deg": _fmt(g.dphi_deg),
+    }
     if p.label:
-        lines.append(f"# label: {p.label}")
-    lines.append(_HEADER)
+        meta["label"] = p.label
     phis = [_fmt(phi) for phi in g.phi_deg.tolist()]
-    for theta, et, ep in zip(map(_fmt, g.theta_deg.tolist()), p.eirp_theta_mw, p.eirp_phi_mw):
-        lines += [f"{theta},{phi},{_dbm_str(t)},{_dbm_str(q)}"
-                  for phi, t, q in zip(phis, et.tolist(), ep.tolist())]
-    _write_text(path, "\n".join(lines) + "\n")
+    rows = (f"{theta},{phi},{_dbm_str(t)},{_dbm_str(q)}"
+            for theta, et, ep in zip(map(_fmt, g.theta_deg.tolist()),
+                                     p.eirp_theta_mw, p.eirp_phi_mw)
+            for phi, t, q in zip(phis, et.tolist(), ep.tolist()))
+    _write_table(path, meta, _HEADER, rows)
 
 
 def read_pattern(path: str) -> PolarizedPattern:
@@ -97,32 +184,15 @@ def read_pattern(path: str) -> PolarizedPattern:
     Metadata lines precede the column header. The body is parsed in bulk;
     a row that fails a check is reported as "path:lineno: ...".
     """
-    meta: dict[str, str] = {}
-    lineno = 0
-    with open(path, encoding="utf-8") as fh:
-        for raw in iter(fh.readline, ""):
-            lineno += 1
-            line = raw.strip()
-            if not line:
-                continue
-            if line.startswith("#"):
-                key, sep, value = line[1:].partition(":")
-                if sep:
-                    meta[key.strip()] = value.strip()
-                continue
-            if line != _HEADER:
-                raise ValueError(f"{path}:{lineno}: unexpected column header {line!r}")
-            break
-        body = fh.read()
-    rows = _parse_rows(body, path, lineno)
-
+    meta, rows, row_error = _read_table(path, _HEADER)
     version = meta.get("format_version")
     if version != FORMAT_VERSION:
         raise ValueError(f"{path}: unknown format version {version!r}")
     conv_name = meta.get("convention", "standard")
-    if conv_name not in _CONVENTIONS:
-        raise ValueError(f"{path}: unknown convention {conv_name!r}")
-    convention = _CONVENTIONS[conv_name]
+    try:
+        convention = Convention(conv_name)
+    except ValueError:
+        raise ValueError(f"{path}: unknown convention {conv_name!r}") from None
     try:
         dtheta = float(meta["dtheta_deg"])
         dphi = float(meta["dphi_deg"])
@@ -140,95 +210,44 @@ def read_pattern(path: str) -> PolarizedPattern:
         if convention is Convention.STANDARD:
             grid = AngularGrid.standard(dtheta, dphi)
         else:
-            grid = AngularGrid(_span_axis(rows[:, 0], dtheta, "theta"),
-                               _span_axis(rows[:, 1], dphi, "phi"), dtheta, dphi, convention)
-        i = _node_indices(rows[:, 0], grid.theta_deg, dtheta, "theta")
-        j = _node_indices(rows[:, 1], grid.phi_deg, dphi, "phi")
-    except ValueError as exc:
+            grid = AngularGrid(_span_axis(rows[:, 0], dtheta), _span_axis(rows[:, 1], dphi),
+                               dtheta, dphi, convention)
+        et, ep = np.zeros((2, grid.n_theta, grid.n_phi))
+        meas = np.zeros(et.shape, dtype=bool)
+    except (ValueError, MemoryError) as exc:  # MemoryError: a grid too large to hold
         raise ValueError(f"{path}: {exc}") from None
+    i = _node_indices(rows[:, 0], grid.theta_deg, dtheta, "theta", row_error)
+    j = _node_indices(rows[:, 1], grid.phi_deg, dphi, "phi", row_error)
     cells = i * grid.n_phi + j
-    et, ep = np.zeros((2, grid.n_theta, grid.n_phi))
-    meas = np.zeros(et.shape, dtype=bool)
     meas.flat[cells] = True
     if np.count_nonzero(meas) < cells.size:
         _, first = np.unique(cells, return_index=True)
-        raise _row_error(body, path, lineno, np.setdiff1d(np.arange(cells.size), first)[0])
+        k = int(np.setdiff1d(np.arange(cells.size), first)[0])
+        raise row_error(k, f"duplicate sample at theta={float(rows[k, 0])}, "
+                           f"phi={float(rows[k, 1])}")
     et.flat[cells] = rows[:, 2]
     ep.flat[cells] = rows[:, 3]
     return PolarizedPattern(grid, et, ep, frequency, meta.get("label", ""), meas)
 
 
-def _parse_rows(body: str, path: str, lineno: int) -> np.ndarray:
-    """The body's rows as (theta, phi, mW, mW), parsed in one call.
-
-    On any failure the body is scanned line by line for the first bad row,
-    so the error is the one a line-by-line reader would raise.
-    """
-    data = _SKIPPED.sub("", "\n" + body)
-    if not data:
-        return np.empty((0, 4))
-    try:
-        rows = np.loadtxt(io.StringIO(data), delimiter=",", comments=None, ndmin=2)
-        # Angles must be finite; dBm may be -inf (zero power) but not +inf or NaN.
-        if (rows.shape[1] != 4 or not np.isfinite(rows[:, :2]).all()
-                or not (rows[:, 2:] < np.inf).all()):
-            raise ValueError
-        # Python's float power, not np.power, which differs in the last bit
-        # for some values; -inf dBm gives exactly 0.0.
-        mw = [10.0 ** x for x in (rows[:, 2:] / 10.0).ravel().tolist()]
-    except (ValueError, OverflowError):
-        raise _row_error(body, path, lineno) from None
-    rows[:, 2:] = np.reshape(mw, (-1, 2))
-    return rows
+def _span_axis(values: np.ndarray, step: float) -> np.ndarray:
+    """The equispaced axis from the least of values, rounded to the greatest;
+    an off-step value is left for _node_indices to report."""
+    lo = float(values.min())
+    return lo + np.arange(round((float(values.max()) - lo) / step) + 1) * step
 
 
-def _row_error(body: str, path: str, lineno: int, duplicate: int = -1) -> ValueError:
-    """The error of the first body row that fails a per-row check, or of
-    the data row with index duplicate, whose cell an earlier row took."""
-    for raw in body.split("\n"):
-        lineno += 1
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        parts = line.split(",")
-        if len(parts) != 4:
-            return ValueError(f"{path}:{lineno}: expected 4 columns, got {len(parts)}")
-        try:
-            theta, phi = map(_number, parts[:2])
-        except ValueError:
-            return ValueError(f"{path}:{lineno}: non-numeric angle")
-        if not (math.isfinite(theta) and math.isfinite(phi)):
-            return ValueError(f"{path}:{lineno}: non-finite angle")
-        if duplicate == 0:
-            return ValueError(f"{path}:{lineno}: duplicate sample at theta={theta}, phi={phi}")
-        duplicate -= 1
-        try:
-            for text in parts[2:]:
-                _parse_dbm(text, path, lineno)
-        except ValueError as exc:
-            return exc
-    return ValueError(f"{path}: unreadable pattern body")
-
-
-def _span_axis(values: np.ndarray, step: float, name: str) -> np.ndarray:
-    """The equispaced axis from the least to the greatest of values."""
-    lo, hi = float(values.min()), float(values.max())
-    n = round((hi - lo) / step)
-    if abs(lo + n * step - hi) > ANGLE_TOL_DEG:
-        raise ValueError(f"{name} span is not a multiple of the declared step")
-    if n < 1:
-        raise ValueError(f"{name} axis needs at least two samples")
-    return lo + np.arange(n + 1) * step
-
-
-def _node_indices(values: np.ndarray, axis: np.ndarray, step: float, name: str) -> np.ndarray:
-    """Each value's index on an equispaced axis."""
+def _node_indices(values: np.ndarray, axis: np.ndarray, step: float, name: str,
+                  row_error: _RowError) -> np.ndarray:
+    """Each value's index on an equispaced axis; an off-axis value raises
+    the error of its row."""
     lo = axis[0]
     k = np.rint((values - lo) / step)
     off = (np.abs(lo + k * step - values) > ANGLE_TOL_DEG) | (k < 0) | (k >= axis.size)
     if off.any():
-        raise ValueError(f"{name}={float(values[off.argmax()])} lies outside "
-                         f"[{lo:g}, {axis[-1]:g}] or is inconsistent with step {step}")
+        r = int(off.argmax())
+        raise row_error(r, f"{name}={float(values[r])} lies outside [{lo:g}, {axis[-1]:g}] "
+                           f"or is inconsistent with step {step}")
     return k.astype(np.intp)
 
 
@@ -237,56 +256,24 @@ def write_sweep_csv(s: CvrpSweep | SweepComparison, path: str) -> None:
     pattern label is written as a "# label:" line and its power in dBm as
     in pattern files, zero as "-inf"; a comparison's dB values as stored."""
     if isinstance(s, CvrpSweep):
-        lines = [f"# label: {s.pattern_label}"] if s.pattern_label else []
-        lines.append(_SWEEP_HEADER)
-        lines += [f"{_fmt(f)},{_dbm_str(v)}" for f, v in s.entries]
+        meta = {"label": s.pattern_label} if s.pattern_label else {}
+        _write_table(path, meta, _SWEEP_HEADER,
+                     (f"{_fmt(f)},{_dbm_str(v)}" for f, v in s.entries))
     elif isinstance(s, SweepComparison):
-        lines = [_COMPARISON_HEADER]
-        for row in zip(s.fov_deg, s.ref_cvrp_db, s.test_cvrp_db, s.delta_db):
-            flagged = "true" if abs(row[3]) > s.threshold_db else "false"
-            lines.append(",".join(map(_fmt, row)) + "," + flagged)
+        rows = zip(s.fov_deg, s.ref_cvrp_db, s.test_cvrp_db, s.delta_db)
+        _write_table(path, {}, _COMPARISON_HEADER,
+                     (",".join([*map(_fmt, r), "true" if abs(r[3]) > s.threshold_db else "false"])
+                      for r in rows))
     else:
         raise TypeError(f"cannot write {type(s).__name__} as a sweep CSV")
-    _write_text(path, "\n".join(lines) + "\n")
 
 
 def read_sweep_csv(path: str) -> CvrpSweep:
     """Read a single-sweep CSV (fov_deg,cvrp_dbm) back into linear units."""
-    label = ""
-    entries = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line:
-                continue
-            if line.startswith("#"):
-                body = line[1:].strip()
-                if body.startswith("label:"):
-                    label = body.partition(":")[2].strip()
-                continue
-            if line.startswith("fov_deg"):
-                if line != _SWEEP_HEADER:
-                    raise ValueError(f"{path}:{lineno}: not a single-sweep CSV")
-                continue
-            parts = line.split(",")
-            if len(parts) != 2:
-                raise ValueError(f"{path}:{lineno}: expected 2 columns")
-            try:
-                fov = _number(parts[0])
-            except ValueError:
-                raise ValueError(f"{path}:{lineno}: non-numeric FoV {parts[0]!r}") from None
-            entries.append((fov, _parse_dbm(parts[1], path, lineno)))
-    if not entries:
+    meta, rows, _ = _read_table(path, _SWEEP_HEADER)
+    if not rows.size:
         raise ValueError(f"{path}: no sweep rows found")
     try:
-        return CvrpSweep(tuple(entries), pattern_label=label)
+        return CvrpSweep(rows.tolist(), pattern_label=meta.get("label", ""))
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
-
-
-def _write_text(path: str, text: str) -> None:
-    try:
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
-    except OSError as exc:
-        raise ValueError(f"cannot write {path}: {exc}") from exc

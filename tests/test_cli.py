@@ -254,7 +254,7 @@ class TestPipelines:
         bad.write_text("fov_deg,cvrp_dbm\nabc,1\n")
         code, _, err = run(capsys, ["diagnose", "--ref", str(bad), "--test", str(bad)])
         assert code == 1
-        assert err.startswith(f"error: {bad}:2: non-numeric FoV 'abc'")
+        assert err.startswith(f"error: {bad}:2: non-numeric angle 'abc'")
         assert "Traceback" not in err
 
     def test_diagnose_zero_entry_unchanged(self, tmp_path, capsys):

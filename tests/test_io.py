@@ -35,6 +35,11 @@ theta_deg,phi_deg,eirp_theta_dbm,eirp_phi_dbm
 
 BODY = TOY.partition("eirp_phi_dbm\n")[2]
 
+# TOY on distributed axes: theta -90..90, phi 0..180.
+DISTRIBUTED = TOY.replace("convention: standard", "convention: distributed").replace(
+    "180,0,-10,-inf\n180,180,-10,-inf\n", "-90,0,-10,-inf\n-90,180,-10,-inf\n")
+BODY_DISTRIBUTED = DISTRIBUTED.partition("eirp_phi_dbm\n")[2]
+
 # TOY as the writer spells it: the writer prints 12 significant digits.
 GOLDEN = TOY.replace("2.8e+10", "28000000000")
 
@@ -165,6 +170,8 @@ class TestReadPattern:
         (BODY, "", r"toy\.csv: file contains no samples"),
         ("dtheta_deg: 90", "dtheta_deg: 70", r"toy\.csv: dtheta_deg=70 must divide 180 degrees"),
         ("dphi_deg: 180", "dphi_deg: 140", r"toy\.csv: dphi_deg=140 must divide 360 degrees"),
+        # a grid of 3.6e14 phi nodes cannot be allocated
+        ("dphi_deg: 180", "dphi_deg: 1e-12", r"toy\.csv: "),
     ])
     def test_bad_metadata_rejected(self, tmp_path, old, new, message):
         with pytest.raises(ValueError, match=message):
@@ -197,21 +204,39 @@ class TestReadPattern:
         assert cvrp(q, cap) == pytest.approx(0.99994, abs=1e-5)
 
     @pytest.mark.parametrize("row, message", [
-        ("270,0,0,0", r"toy\.csv: theta=270.0 lies outside \[0, 180\]"),
-        ("90,360,0,0", r"toy\.csv: phi=360.0 lies outside \[0, 180\]"),
-        ("-90,0,0,0", r"toy\.csv: theta=-90.0 lies outside \[0, 180\]"),
+        ("270,0,0,0", r"toy\.csv:13: theta=270.0 lies outside \[0, 180\]"),
+        ("90,360,0,0", r"toy\.csv:13: phi=360.0 lies outside \[0, 180\]"),
+        ("-90,0,0,0", r"toy\.csv:13: theta=-90.0 lies outside \[0, 180\]"),
     ])
     def test_standard_row_off_sphere_rejected(self, tmp_path, row, message):
         with pytest.raises(ValueError, match=message):
             read_pattern(write_toy(tmp_path, TOY + row + "\n"))
 
     def test_distributed_convention(self, tmp_path):
-        text = TOY.replace("convention: standard", "convention: distributed")
-        text = text.replace("180,0,-10,-inf\n180,180,-10,-inf\n",
-                            "-90,0,-10,-inf\n-90,180,-10,-inf\n")
-        p = read_pattern(write_toy(tmp_path, text))
+        p = read_pattern(write_toy(tmp_path, DISTRIBUTED))
         assert p.grid.convention is Convention.DISTRIBUTED
         assert p.grid.theta_deg[0] == -90.0
+
+    @pytest.mark.parametrize("old, new, message", [
+        ("0,180,0,-inf", "45,180,0,-inf", r"toy\.csv:8: theta=45.0 lies outside \[-90, 90\] "
+                                          r"or is inconsistent with step 90"),
+        ("90,180,-inf,0", "90,100,-inf,0", r"toy\.csv:10: phi=100.0 lies outside \[0, 180\]"),
+        ("90,180,-inf,0", "135,180,-inf,0", r"toy\.csv:10: theta=135.0 lies outside"),
+    ])
+    def test_distributed_off_step_row_rejected_with_line(self, tmp_path, old, new, message):
+        with pytest.raises(ValueError, match=message):
+            read_pattern(write_toy(tmp_path, DISTRIBUTED.replace(old, new)))
+
+    def test_distributed_single_theta_rejected(self, tmp_path):
+        text = DISTRIBUTED.replace(BODY_DISTRIBUTED, "90,0,10,0\n90,180,-inf,0\n")
+        with pytest.raises(ValueError, match=r"toy\.csv: theta axis needs at least two samples"):
+            read_pattern(write_toy(tmp_path, text))
+
+    def test_non_utf8_rejected_with_path(self, tmp_path):
+        f = tmp_path / "toy.csv"
+        f.write_bytes(TOY.encode("utf-8").replace(b"90,0,10,0", b"90,0,1\xff0,0"))
+        with pytest.raises(ValueError, match=r"toy\.csv: not UTF-8 text"):
+            read_pattern(str(f))
 
 
 class TestRoundTrip:
@@ -302,15 +327,48 @@ class TestSweepCsv:
             read_sweep_csv(str(f))
 
     @pytest.mark.parametrize("rows, message", [
-        ("abc,1", r"s\.csv:2: non-numeric FoV 'abc'"),
-        ("1_0,1", r"s\.csv:2: non-numeric FoV '1_0'"),
-        ("nan,1", r"s\.csv: sweep FoVs must lie in \[0, 180\]"),
+        ("abc,1", r"s\.csv:2: non-numeric angle 'abc'"),
+        ("1_0,1", r"s\.csv:2: non-numeric angle '1_0'"),
+        ("nan,1", r"s\.csv:2: non-finite angle"),
+        ("200,1", r"s\.csv: sweep FoVs must lie in \[0, 180\]"),
         ("90,1\n120,1", r"s\.csv: sweep FoVs must be strictly decreasing"),
     ])
     def test_bad_fov_rejected_with_path(self, tmp_path, rows, message):
         f = tmp_path / "s.csv"
         f.write_text(f"fov_deg,cvrp_dbm\n{rows}\n")
         with pytest.raises(ValueError, match=message):
+            read_sweep_csv(str(f))
+
+    @pytest.mark.parametrize("text, message", [
+        ("90,1\n30,1\n", r"s\.csv:1: unexpected column header '90,1'"),
+        ("# label: x\n\n90,1\n", r"s\.csv:3: unexpected column header '90,1'"),
+        ("fov_deg,cvrp_dbm\n90,1\nfov_deg,cvrp_dbm\n30,1\n",
+         r"s\.csv:3: non-numeric angle 'fov_deg'"),
+        ("fov_deg,cvrp_dbm\n90,1\n30,1,2\n", r"s\.csv:3: expected 2 columns, got 3"),
+        ("fov_deg,cvrp_dbm\n\n90,1\n# note\n30\n", r"s\.csv:5: expected 2 columns, got 1"),
+        ("fov_deg,cvrp_dbm\n90,one\n", r"s\.csv:2: non-numeric dBm value 'one'"),
+        ("fov_deg,cvrp_dbm\n90,nan\n", r"s\.csv:2: non-finite dBm value 'nan'"),
+        ("fov_deg,cvrp_dbm\n90,+inf\n", r"s\.csv:2: non-finite dBm value '\+inf'"),
+        ("fov_deg,cvrp_dbm\n90,4000\n", r"s\.csv:2: dBm value '4000' overflows"),
+        ("fov_deg,cvrp_dbm\n-inf,1\n", r"s\.csv:2: non-finite angle '-inf'"),
+    ])
+    def test_bad_sweep_file_rejected_with_line(self, tmp_path, text, message):
+        f = tmp_path / "s.csv"
+        f.write_text(text)
+        with pytest.raises(ValueError, match=message):
+            read_sweep_csv(str(f))
+
+    def test_label_after_header_skipped(self, tmp_path):
+        f = tmp_path / "s.csv"
+        f.write_text("# label: before\nfov_deg,cvrp_dbm\n# label: after\n90,0\n")
+        s = read_sweep_csv(str(f))
+        assert s.pattern_label == "before"
+        assert s.entries == ((90.0, 1.0),)
+
+    def test_non_utf8_rejected_with_path(self, tmp_path):
+        f = tmp_path / "s.csv"
+        f.write_bytes(b"fov_deg,cvrp_dbm\n90,1\n\xff30,1\n")
+        with pytest.raises(ValueError, match=r"s\.csv: not UTF-8 text"):
             read_sweep_csv(str(f))
 
     def test_empty_sweep_file_rejected(self, tmp_path):
