@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import AngularGrid, sph_to_unit
+from .grid import AngularGrid
 from .masks import FOUR_PI
 from .metrics import _integrate
 from .pattern import PolarizedPattern
@@ -112,20 +112,28 @@ def steering_weights(spec: ArraySpec) -> np.ndarray:
 
 
 def _radiation_intensity(spec: ArraySpec, grid: AngularGrid) -> np.ndarray:
+    """|element field x array factor|^2. The array factor, the sum of w[r, c] ex^c ey^r
+    with ex = exp(jk sx) and ey = exp(jk sy), is evaluated by Horner's rule over
+    the columns of each row, then over the rows; zero (failed) weights are skipped."""
     w = steering_weights(spec)
     if not np.any(w):
         raise ValueError("all elements failed; pattern is identically zero")
-    tt, pp = np.meshgrid(grid.theta_deg, grid.phi_deg, indexing="ij")
-    u = sph_to_unit(tt, pp)
-    sx, sy = u[..., 0], u[..., 1]
+    st = np.sin(np.radians(grid.theta_deg))[:, None]
+    phi = np.radians(grid.phi_deg)
     k_s = 2.0 * math.pi * spec.spacing_wl
-    af = np.zeros(tt.shape, dtype=complex)
-    for row in range(spec.rows):
-        for col in range(spec.cols):
-            if w[row, col] == 0:
-                continue
-            af += w[row, col] * np.exp(1j * k_s * (col * sx + row * sy))
-    field = element_field(spec.element, tt) * np.abs(af)
+    ex = np.exp(1j * k_s * (st * np.cos(phi)))
+    ey = np.exp(1j * k_s * (st * np.sin(phi)))
+    af = np.zeros(ex.shape, dtype=complex)
+    row_sum = np.empty_like(af)
+    for row in w[::-1]:
+        af *= ey
+        row_sum.fill(0.0)
+        for c in row[::-1]:
+            row_sum *= ex
+            if c:
+                row_sum += c
+        af += row_sum
+    field = element_field(spec.element, grid.theta_deg)[:, None] * np.abs(af)
     return field ** 2
 
 

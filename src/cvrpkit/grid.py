@@ -47,6 +47,12 @@ def _standard_counts(dtheta_deg: float, dphi_deg: float) -> tuple[int, int]:
     return n_t, n_p
 
 
+def _outside_distributed(theta: np.ndarray, phi: np.ndarray) -> np.ndarray:
+    """Where theta leaves [-180, 180) or phi leaves [0, 180] degrees."""
+    return ((theta < -180.0 - ANGLE_TOL_DEG) | (theta >= 180.0 - ANGLE_TOL_DEG)
+            | (phi < -ANGLE_TOL_DEG) | (phi > 180.0 + ANGLE_TOL_DEG))
+
+
 @dataclass(frozen=True)
 class AngularGrid:
     """Equispaced theta/phi sample axes in degrees."""
@@ -68,11 +74,9 @@ class AngularGrid:
                     or abs(theta[0]) > ANGLE_TOL_DEG or abs(phi[0]) > ANGLE_TOL_DEG):
                 raise ValueError("standard convention requires the full sphere: "
                                  "theta 0..180 and phi 0..360-dphi")
-        else:
-            if theta[0] < -180 - ANGLE_TOL_DEG or theta[-1] >= 180 - ANGLE_TOL_DEG:
-                raise ValueError("distributed convention requires theta in [-180, 180)")
-            if phi[0] < -ANGLE_TOL_DEG or phi[-1] > 180 + ANGLE_TOL_DEG:
-                raise ValueError("distributed convention requires phi in [0, 180]")
+        elif _outside_distributed(theta[[0, -1]], phi[[0, -1]]).any():
+            raise ValueError("distributed convention requires theta in [-180, 180) "
+                             "and phi in [0, 180]")
         theta.flags.writeable = False
         phi.flags.writeable = False
         object.__setattr__(self, "theta_deg", theta)
@@ -110,27 +114,13 @@ class Direction:
         object.__setattr__(self, "phi_deg", phi % 360.0)
 
 
-def sph_to_unit(theta_deg, phi_deg):
-    """Unit vectors for (theta, phi) in degrees; broadcasts."""
-    t = np.radians(theta_deg)
-    p = np.radians(phi_deg)
-    st = np.sin(t)
-    return np.stack([st * np.cos(p), st * np.sin(p), np.cos(t)], axis=-1)
-
-
-def unit_to_sph(u):
-    """(theta, phi) in degrees from unit vectors; phi in [0, 360)."""
-    u = np.asarray(u, dtype=float)
-    z = np.clip(u[..., 2], -1.0, 1.0)
-    theta = np.degrees(np.arccos(z))
-    phi = np.degrees(np.arctan2(u[..., 1], u[..., 0])) % 360.0
-    return theta, phi
-
-
 def angular_distance_deg(theta1, phi1, theta2, phi2):
     """Great-circle angle in degrees between directions given in degrees."""
     t1 = np.radians(theta1)
     t2 = np.radians(theta2)
     dp = np.radians(np.asarray(phi1, dtype=float) - np.asarray(phi2, dtype=float))
-    c = np.cos(t1) * np.cos(t2) + np.sin(t1) * np.sin(t2) * np.cos(dp)
-    return np.degrees(np.arccos(np.clip(c, -1.0, 1.0)))
+    # In place: grid-sized temporaries freed on every call cost page faults.
+    c = np.asarray(np.sin(t1) * np.sin(t2) * np.cos(dp))
+    c += np.cos(t1) * np.cos(t2)
+    np.arccos(np.clip(c, -1.0, 1.0, out=c), out=c)
+    return np.degrees(c, out=c)[()]

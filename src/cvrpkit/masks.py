@@ -86,9 +86,9 @@ def membership(m: SphericalMask, grid: AngularGrid) -> np.ndarray:
         return np.ones((grid.n_theta, grid.n_phi), dtype=bool)
     if m.kind is MaskKind.CAP:
         return _cap_distance_deg(m.center, grid) <= m.half_angle_deg + ANGLE_TOL_DEG
-    tt, pp = np.meshgrid(grid.theta_deg, grid.phi_deg, indexing="ij")
-    in_theta = ((tt >= m.theta_min_deg - ANGLE_TOL_DEG)
-                & (tt <= m.theta_max_deg + ANGLE_TOL_DEG))
-    rel = (pp - m.phi_min_deg) % 360.0  # in [0, 360): every node when the extent is 360
+    # A window is separable: test theta on the theta axis, phi on the phi axis.
+    t = grid.theta_deg[:, None]
+    in_theta = (t >= m.theta_min_deg - ANGLE_TOL_DEG) & (t <= m.theta_max_deg + ANGLE_TOL_DEG)
+    rel = (grid.phi_deg - m.phi_min_deg) % 360.0  # in [0, 360): every node when the extent is 360
     in_phi = (rel <= m.phi_extent_deg + ANGLE_TOL_DEG) | (rel >= 360.0 - ANGLE_TOL_DEG)
     return in_theta & in_phi

@@ -92,11 +92,11 @@ def _area_fraction(member: np.ndarray, grid: AngularGrid) -> float:
     return w_mask / w_full  # exactly 1.0 when every cell is a member
 
 
-def _masked_cvrp(p: PolarizedPattern, member: np.ndarray) -> float:
-    area_scale = _area_fraction(member, p.grid)
+def _masked_cvrp(grid: AngularGrid, total_mw: np.ndarray, member: np.ndarray) -> float:
+    area_scale = _area_fraction(member, grid)
     if area_scale <= 0.0:
         raise ValueError("mask covers no grid cells with nonzero quadrature weight")
-    power = _integrate(p.grid, np.where(member, p.total_mw, 0.0).sum(axis=1))
+    power = _integrate(grid, np.where(member, total_mw, 0.0).sum(axis=1))
     return power / (FOUR_PI * area_scale)
 
 
@@ -122,7 +122,7 @@ def cvrp(p: PolarizedPattern, m: SphericalMask) -> float:
     """
     _require_standard(p)
     _require_extended(m)
-    return _masked_cvrp(p, membership(m, p.grid))
+    return _masked_cvrp(p.grid, p.total_mw, membership(m, p.grid))
 
 
 def trp(p: PolarizedPattern) -> float:
@@ -167,17 +167,18 @@ def cvrp_sweep(p: PolarizedPattern, center: Direction,
                half_angles_deg=DEFAULT_FOV_SWEEP) -> CvrpSweep:
     """CVRP over a list of cap half-angles (0 means the point FoV).
 
-    Cap distances are computed once; each FoV thresholds them like cvrp."""
+    Cap distances and the total power are computed once for all FoVs."""
     _require_standard(p)
     fovs = [float(f) for f in half_angles_deg]
     _check_fovs(fovs)
     dist = _cap_distance_deg(center, p.grid)
+    total = p.total_mw
     entries = []
     for f in fovs:
         if f == 0.0:
             val = cvrp_point(p, center)
         else:
             _require_extended(SphericalMask.cap(center, f))
-            val = _masked_cvrp(p, dist <= f + ANGLE_TOL_DEG)
+            val = _masked_cvrp(p.grid, total, dist <= f + ANGLE_TOL_DEG)
         entries.append((f, val))
     return CvrpSweep(tuple(entries), pattern_label=p.label)

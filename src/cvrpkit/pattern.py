@@ -11,14 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import (
-    ANGLE_TOL_DEG,
-    AngularGrid,
-    Convention,
-    Direction,
-    sph_to_unit,
-    unit_to_sph,
-)
+from .grid import ANGLE_TOL_DEG, AngularGrid, Convention, Direction
 
 _REL_TOL = 1e-9
 
@@ -220,20 +213,21 @@ def rotate_about_y(p: PolarizedPattern, alpha_deg: float) -> PolarizedPattern:
     if alpha_deg == 0.0:
         return p
     g = p.grid
-    tt, pp = np.meshgrid(g.theta_deg, g.phi_deg, indexing="ij")
-    u = sph_to_unit(tt, pp)
+    t, phi = np.radians(g.theta_deg)[:, None], np.radians(g.phi_deg)
+    st = np.sin(t)
+    ux, uy, uz = st * np.cos(phi), st * np.sin(phi), np.cos(t)
     beta = np.radians(-alpha_deg)
     cb, sb = np.cos(beta), np.sin(beta)
-    x = u[..., 0] * cb + u[..., 2] * sb
-    z = -u[..., 0] * sb + u[..., 2] * cb
-    src = np.stack([x, u[..., 1], z], axis=-1)
-    ts, ps = unit_to_sph(src)
+    x = ux * cb + uz * sb
+    z = -ux * sb + uz * cb
+    ts = np.degrees(np.arccos(np.clip(z, -1.0, 1.0)))
+    ps = np.degrees(np.arctan2(uy, x)) % 360.0
     fields = (p.eirp_theta_mw, p.eirp_phi_mw)
     if p.measured is not None:
         # Weights are non-negative, so the sampled blind indicator is exactly
         # zero only where no blind node carries weight.
         fields += ((~p.measured).astype(float),)
-    et, ep, *blind = (v.reshape(tt.shape) for v in _sample(g, ts.ravel(), ps.ravel(), *fields))
+    et, ep, *blind = (v.reshape(x.shape) for v in _sample(g, ts.ravel(), ps.ravel(), *fields))
     label = f"{p.label} (rotated {alpha_deg:g} deg about y)" if p.label else ""
     return PolarizedPattern(g, et, ep, p.frequency_hz, label,
                             blind[0] == 0.0 if blind else None)

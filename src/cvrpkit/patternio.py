@@ -25,7 +25,7 @@ from collections.abc import Callable, Iterable
 import numpy as np
 
 from .diagnostics import SweepComparison
-from .grid import ANGLE_TOL_DEG, AngularGrid, Convention
+from .grid import ANGLE_TOL_DEG, AngularGrid, Convention, _outside_distributed
 from .metrics import CvrpSweep
 from .pattern import PolarizedPattern
 
@@ -205,6 +205,12 @@ def read_pattern(path: str) -> PolarizedPattern:
         raise ValueError(f"{path}: frequency_hz must be positive and finite")
     if not rows.size:
         raise ValueError(f"{path}: file contains no samples")
+    if convention is Convention.DISTRIBUTED:
+        out = _outside_distributed(rows[:, 0], rows[:, 1])  # before the axes are allocated
+        if out.any():
+            k = int(out.argmax())
+            raise row_error(k, f"theta={float(rows[k, 0])}, phi={float(rows[k, 1])} lies outside "
+                               f"the distributed range theta [-180, 180), phi [0, 180]")
 
     try:
         if convention is Convention.STANDARD:

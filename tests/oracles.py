@@ -1,8 +1,9 @@
 """Independent numerical oracles used by the tests.
 
 Everything here is deliberately written without reusing the library's
-integration paths: closed-form array patterns, fine-grid quadrature,
-Monte-Carlo cap integration, and smooth random pattern generators.
+integration paths: unit-vector geometry, closed-form array patterns,
+direct-sum array factors, fine-grid quadrature, Monte-Carlo cap
+integration, full-grid mask tests and smooth random pattern generators.
 """
 
 from __future__ import annotations
@@ -11,10 +12,29 @@ import math
 
 import numpy as np
 
-from cvrpkit.grid import ANGLE_TOL_DEG, AngularGrid, sph_to_unit, unit_to_sph
+from cvrpkit.arraysynth import ArraySpec, element_field, steering_weights
+from cvrpkit.grid import ANGLE_TOL_DEG, AngularGrid
+from cvrpkit.masks import SphericalMask
 from cvrpkit.pattern import PolarizedPattern
 
 FOUR_PI = 4.0 * math.pi
+
+
+def sph_to_unit(theta_deg, phi_deg):
+    """Unit vectors for (theta, phi) in degrees; broadcasts."""
+    t = np.radians(theta_deg)
+    p = np.radians(phi_deg)
+    st = np.sin(t)
+    return np.stack([st * np.cos(p), st * np.sin(p), np.cos(t)], axis=-1)
+
+
+def unit_to_sph(u):
+    """(theta, phi) in degrees from unit vectors; phi in [0, 360)."""
+    u = np.asarray(u, dtype=float)
+    z = np.clip(u[..., 2], -1.0, 1.0)
+    theta = np.degrees(np.arccos(z))
+    phi = np.degrees(np.arctan2(u[..., 1], u[..., 0])) % 360.0
+    return theta, phi
 
 
 def cosine_array_intensity(theta_deg, phi_deg, rows: int = 2, cols: int = 8,
@@ -38,6 +58,36 @@ def cosine_array_intensity(theta_deg, phi_deg, rows: int = 2, cols: int = 8,
     af2 = dirichlet(x, cols) ** 2 * dirichlet(y, rows) ** 2
     elem2 = np.where(np.degrees(theta) <= 90.0, np.cos(theta) ** 2, 0.0)
     return elem2 * af2
+
+
+def direct_sum_intensity(spec: ArraySpec, grid: AngularGrid) -> np.ndarray:
+    """Radiation intensity with one complex exponential per live element
+    over the full grid: the library's array factor before it used Horner's
+    rule, kept as the reference for that recurrence's rounding."""
+    w = steering_weights(spec)
+    tt, pp = np.meshgrid(grid.theta_deg, grid.phi_deg, indexing="ij")
+    u = sph_to_unit(tt, pp)
+    sx, sy = u[..., 0], u[..., 1]
+    k_s = 2.0 * math.pi * spec.spacing_wl
+    af = np.zeros(tt.shape, dtype=complex)
+    for row in range(spec.rows):
+        for col in range(spec.cols):
+            if w[row, col] == 0:
+                continue
+            af += w[row, col] * np.exp(1j * k_s * (col * sx + row * sy))
+    field = element_field(spec.element, tt) * np.abs(af)
+    return field ** 2
+
+
+def window_membership_reference(m: SphericalMask, grid: AngularGrid) -> np.ndarray:
+    """Node-center membership of a window mask, tested cell by cell on the
+    meshgrid of the axes, as the library did before it tested the axes."""
+    tt, pp = np.meshgrid(grid.theta_deg, grid.phi_deg, indexing="ij")
+    in_theta = ((tt >= m.theta_min_deg - ANGLE_TOL_DEG)
+                & (tt <= m.theta_max_deg + ANGLE_TOL_DEG))
+    rel = (pp - m.phi_min_deg) % 360.0
+    in_phi = (rel <= m.phi_extent_deg + ANGLE_TOL_DEG) | (rel >= 360.0 - ANGLE_TOL_DEG)
+    return in_theta & in_phi
 
 
 def fine_grid_quadrature(intensity_fn, step_deg: float = 0.1) -> tuple[float, float]:

@@ -13,9 +13,10 @@ from cvrpkit import (
     synthesize_eirp,
     trp,
 )
-from cvrpkit.grid import AngularGrid, sph_to_unit
+from cvrpkit.arraysynth import _radiation_intensity
+from cvrpkit.grid import AngularGrid
 
-from oracles import cosine_array_intensity, fine_grid_quadrature
+from oracles import cosine_array_intensity, direct_sum_intensity, fine_grid_quadrature, sph_to_unit
 
 FOUR_PI = 4.0 * math.pi
 
@@ -185,6 +186,20 @@ class TestDirectivity:
                          failed_elements={1, 2})
         with pytest.raises(ValueError, match="all elements failed"):
             synthesize_directivity(spec)
+
+    @pytest.mark.parametrize("rows, cols, step, failed", [
+        (2, 8, 1.5, {7, 14}),
+        (16, 16, 3.0, {1, 16, 100, 256}),
+        (1, 64, 3.0, {2, 33, 64}),
+        (8, 64, 3.0, {1, 512, *range(65, 129)}),  # the whole second row failed
+    ])
+    @pytest.mark.parametrize("scan", [-45.0, 0.0, 31.5])
+    def test_horner_rounding_against_direct_sum(self, rows, cols, step, failed, scan):
+        spec = ArraySpec(element=ElementModel.HUYGENS, rows=rows, cols=cols,
+                         scan_angle_deg=scan, failed_elements=failed)
+        grid = AngularGrid.standard(step, step)
+        ref = direct_sum_intensity(spec, grid)
+        assert np.abs(_radiation_intensity(spec, grid) - ref).max() <= 1e-13 * ref.max()
 
 
 class TestEirp:

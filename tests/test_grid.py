@@ -6,9 +6,9 @@ from cvrpkit.grid import (
     Convention,
     Direction,
     angular_distance_deg,
-    sph_to_unit,
-    unit_to_sph,
 )
+
+from oracles import sph_to_unit, unit_to_sph
 
 
 def test_standard_factory_spans_sphere():

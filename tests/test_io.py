@@ -15,6 +15,7 @@ from cvrpkit import (
     write_sweep_csv,
 )
 from cvrpkit.grid import AngularGrid, Convention, Direction
+from cvrpkit import patternio
 from cvrpkit.patternio import FORMAT_VERSION
 
 TOY = """\
@@ -226,6 +227,23 @@ class TestReadPattern:
     def test_distributed_off_step_row_rejected_with_line(self, tmp_path, old, new, message):
         with pytest.raises(ValueError, match=message):
             read_pattern(write_toy(tmp_path, DISTRIBUTED.replace(old, new)))
+
+    @pytest.mark.parametrize("row, message", [
+        ("9e9,0,0,0", r"toy\.csv:13: theta=9000000000.0, phi=0.0 lies outside "
+                      r"the distributed range"),
+        ("-270,0,0,0", r"toy\.csv:13: theta=-270.0, phi=0.0 lies outside"),
+        ("180,0,0,0", r"toy\.csv:13: theta=180.0, phi=0.0 lies outside"),
+        ("0,-90,0,0", r"toy\.csv:13: theta=0.0, phi=-90.0 lies outside"),
+        ("0,270,0,0", r"toy\.csv:13: theta=0.0, phi=270.0 lies outside"),
+    ])
+    def test_distributed_row_out_of_range_rejected_before_allocation(self, tmp_path, monkeypatch,
+                                                                     row, message):
+        # At step 90 the span to theta 9e9 would be a 100-million-node axis.
+        def no_span(*args):
+            raise AssertionError("axis spanned before the range check")
+        monkeypatch.setattr(patternio, "_span_axis", no_span)
+        with pytest.raises(ValueError, match=message):
+            read_pattern(write_toy(tmp_path, DISTRIBUTED + row + "\n"))
 
     def test_distributed_single_theta_rejected(self, tmp_path):
         text = DISTRIBUTED.replace(BODY_DISTRIBUTED, "90,0,10,0\n90,180,-inf,0\n")

@@ -2,10 +2,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from cvrpkit import SphericalMask
-from cvrpkit.grid import Direction
+from cvrpkit.grid import AngularGrid, Direction
 from cvrpkit.masks import MaskKind, membership
+
+from oracles import window_membership_reference
 
 FOUR_PI = 4.0 * math.pi
 
@@ -66,3 +70,34 @@ class TestMembership:
     def test_kind_enum(self):
         assert SphericalMask.cap(Direction(0, 0), 10.0).kind is MaskKind.CAP
         assert SphericalMask.window(0, 90, 0, 90).kind is MaskKind.WINDOW
+
+
+_GRIDS = {step: AngularGrid.standard(step, step) for step in (0.5, 1.5, 15.0)}
+
+
+@st.composite
+def grid_windows(draw):
+    """A standard grid and a window on it whose edges are often grid nodes,
+    or within or just beyond the node tolerance of one."""
+    step = draw(st.sampled_from(sorted(_GRIDS)))
+
+    def angle(lo, hi):
+        node = st.integers(math.ceil(lo / step), math.floor(hi / step)).map(lambda k: k * step)
+        near = st.tuples(node, st.sampled_from([0.0, 5e-10, -5e-10, 1e-9, -1e-9, 2e-9, -2e-9]))
+        return draw(st.one_of(node, near.map(sum), st.floats(lo, hi)))
+
+    t1, t2 = sorted((angle(-10.0, 190.0), angle(-10.0, 190.0)))
+    assume(max(t1, 0.0) < min(t2, 180.0))
+    phi_min = angle(-720.0, 720.0)
+    extent = draw(st.one_of(st.just(360.0), st.floats(0.0, 360.0, exclude_min=True),
+                            st.integers(1, round(360.0 / step)).map(lambda k: k * step)))
+    phi_max = phi_min + extent
+    assume(0.0 < phi_max - phi_min <= 360.0)  # a tiny extent can round away
+    return _GRIDS[step], SphericalMask.window(t1, t2, phi_min, phi_max)
+
+
+@settings(max_examples=200, deadline=None)
+@given(grid_windows())
+def test_window_membership_matches_meshgrid_reference(case):
+    grid, m = case
+    assert np.array_equal(membership(m, grid), window_membership_reference(m, grid))

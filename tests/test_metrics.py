@@ -18,9 +18,15 @@ from cvrpkit import (
     sample_bilinear,
     trp,
 )
-from cvrpkit.grid import AngularGrid, Direction, sph_to_unit
+from cvrpkit.grid import AngularGrid, Direction
 
-from oracles import fine_grid_quadrature, lobe_mixture, mc_cap_mean, pattern_from_function
+from oracles import (
+    fine_grid_quadrature,
+    lobe_mixture,
+    mc_cap_mean,
+    pattern_from_function,
+    sph_to_unit,
+)
 
 FOUR_PI = 4.0 * math.pi
 

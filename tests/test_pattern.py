@@ -17,12 +17,13 @@ from cvrpkit import (
     synthesize_eirp,
     trp,
 )
-from cvrpkit.grid import ANGLE_TOL_DEG, AngularGrid, Convention, Direction, sph_to_unit
+from cvrpkit.grid import ANGLE_TOL_DEG, AngularGrid, Convention, Direction
 
 from oracles import (
     rotate_about_y_reference,
     rotated_measured_reference,
     sample_component_reference,
+    sph_to_unit,
 )
 
 
