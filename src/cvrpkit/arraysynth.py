@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import AngularGrid
+from .grid import AngularGrid, Convention
 from .masks import FOUR_PI
 from .metrics import _integrate
 from .pattern import PolarizedPattern
@@ -143,6 +143,9 @@ def synthesize_directivity(spec: ArraySpec,
     quadrature of linear directivity equals 4*pi."""
     if grid is None:
         grid = AngularGrid.standard()
+    if grid.convention is not Convention.STANDARD:
+        raise ValueError(f"array synthesis requires a standard-convention grid, "
+                         f"not a {grid.convention.value} one")
     intensity = _radiation_intensity(spec, grid)
     total = _integrate(grid, intensity.sum(axis=1))
     d_lin = FOUR_PI * intensity / total

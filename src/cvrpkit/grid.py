@@ -1,11 +1,13 @@
 """Spherical sampling grids and directions.
 
-Two axis conventions are supported:
+A grid is always the full sphere of its steps, in one of two axis
+conventions:
 
-* standard: always the full sphere, theta 0..180 and phi 0..360-dphi,
-  with steps that divide 180 and 360 degrees
-* distributed: roll-over-turntable axes, any equispaced sub-range of
-  theta in [-180, 180), phi in [0, 180]; only remapping reads these
+* standard: theta 0..180 and phi 0..360-dphi, with steps that divide
+  180 and 360 degrees
+* distributed: roll-over-turntable axes, theta -180..180-dtheta and
+  phi 0..180, with both steps dividing 180 degrees; only remapping
+  reads these
 """
 
 from __future__ import annotations
@@ -17,45 +19,44 @@ import numpy as np
 
 ANGLE_TOL_DEG = 1e-9
 
+# The most cells a grid may have; 0.05 deg steps still fit.
+_MAX_CELLS = 2 ** 25
+
 
 class Convention(enum.Enum):
     STANDARD = "standard"
     DISTRIBUTED = "distributed"
 
 
-def _check_equispaced(values: np.ndarray, step: float, name: str) -> None:
-    if values.ndim != 1 or values.size < 2:
-        raise ValueError(f"{name} axis needs at least two samples")
-    diffs = np.diff(values)
-    if np.any(np.abs(diffs - step) > ANGLE_TOL_DEG):
-        raise ValueError(f"{name} axis is not equispaced with step {step} deg")
-    if step <= 0:
-        raise ValueError(f"{name} step must be positive")
-
-
-def _standard_counts(dtheta_deg: float, dphi_deg: float) -> tuple[int, int]:
-    """Theta intervals and phi nodes of the full-sphere grid with these steps."""
+def _axes(dtheta_deg: float, dphi_deg: float,
+          convention: Convention) -> tuple[np.ndarray, np.ndarray]:
+    """The theta and phi axes of the full sphere with these steps."""
     if not (0 < dtheta_deg < np.inf and 0 < dphi_deg < np.inf):  # NaN fails too
         raise ValueError(f"grid steps must be positive and finite "
                          f"(dtheta_deg={dtheta_deg:g}, dphi_deg={dphi_deg:g})")
-    n_t = round(180.0 / dtheta_deg)
-    n_p = round(360.0 / dphi_deg)
+    standard = convention is Convention.STANDARD
+    phi_span = 360.0 if standard else 180.0
+    n_t, n_p = 180.0 / dtheta_deg, phi_span / dphi_deg
+    cells = (n_t + 1) * n_p if standard else 2 * n_t * (n_p + 1)
+    if not cells <= _MAX_CELLS:  # before anything is rounded or allocated
+        raise ValueError(f"a {dtheta_deg:g} x {dphi_deg:g} deg grid has {cells:.0f} cells, "
+                         f"more than the limit of {_MAX_CELLS}")
+    n_t, n_p = round(n_t), round(n_p)
     if abs(n_t * dtheta_deg - 180.0) > ANGLE_TOL_DEG:
         raise ValueError(f"dtheta_deg={dtheta_deg:g} must divide 180 degrees")
-    if abs(n_p * dphi_deg - 360.0) > ANGLE_TOL_DEG:
-        raise ValueError(f"dphi_deg={dphi_deg:g} must divide 360 degrees")
-    return n_t, n_p
-
-
-def _outside_distributed(theta: np.ndarray, phi: np.ndarray) -> np.ndarray:
-    """Where theta leaves [-180, 180) or phi leaves [0, 180] degrees."""
-    return ((theta < -180.0 - ANGLE_TOL_DEG) | (theta >= 180.0 - ANGLE_TOL_DEG)
-            | (phi < -ANGLE_TOL_DEG) | (phi > 180.0 + ANGLE_TOL_DEG))
+    if abs(n_p * dphi_deg - phi_span) > ANGLE_TOL_DEG:
+        raise ValueError(f"dphi_deg={dphi_deg:g} must divide {phi_span:g} degrees")
+    if standard:
+        if n_p < 2:
+            raise ValueError("phi axis needs at least two samples")
+        return np.arange(n_t + 1) * dtheta_deg, np.arange(n_p) * dphi_deg
+    return np.arange(2 * n_t) * dtheta_deg - 180.0, np.arange(n_p + 1) * dphi_deg
 
 
 @dataclass(frozen=True)
 class AngularGrid:
-    """Equispaced theta/phi sample axes in degrees."""
+    """Equispaced theta/phi sample axes in degrees: the full sphere of the
+    steps in the convention (see the module docstring)."""
 
     theta_deg: np.ndarray
     phi_deg: np.ndarray
@@ -64,19 +65,14 @@ class AngularGrid:
     convention: Convention = Convention.STANDARD
 
     def __post_init__(self):
-        theta = np.asarray(self.theta_deg, dtype=float)
-        phi = np.asarray(self.phi_deg, dtype=float)
-        _check_equispaced(theta, self.dtheta_deg, "theta")
-        _check_equispaced(phi, self.dphi_deg, "phi")
-        if self.convention is Convention.STANDARD:
-            n_t, n_p = _standard_counts(self.dtheta_deg, self.dphi_deg)
-            if (theta.size != n_t + 1 or phi.size != n_p
-                    or abs(theta[0]) > ANGLE_TOL_DEG or abs(phi[0]) > ANGLE_TOL_DEG):
-                raise ValueError("standard convention requires the full sphere: "
-                                 "theta 0..180 and phi 0..360-dphi")
-        elif _outside_distributed(theta[[0, -1]], phi[[0, -1]]).any():
-            raise ValueError("distributed convention requires theta in [-180, 180) "
-                             "and phi in [0, 180]")
+        theta, phi = _axes(self.dtheta_deg, self.dphi_deg, self.convention)
+        for axis, given in ((theta, self.theta_deg), (phi, self.phi_deg)):
+            given = np.asarray(given, dtype=float)
+            if given.shape != axis.shape or not (np.abs(given - axis) <= ANGLE_TOL_DEG).all():
+                span = ("theta 0..180 and phi 0..360-dphi" if self.convention is Convention.STANDARD
+                        else "theta -180..180-dtheta and phi 0..180")
+                raise ValueError(f"{self.convention.value} convention requires the full sphere: "
+                                 f"{span}")
         theta.flags.writeable = False
         phi.flags.writeable = False
         object.__setattr__(self, "theta_deg", theta)
@@ -93,9 +89,7 @@ class AngularGrid:
     @classmethod
     def standard(cls, dtheta_deg: float = 1.5, dphi_deg: float = 1.5) -> "AngularGrid":
         """The standard grid: theta 0..180, phi 0..360-dphi."""
-        n_t, n_p = _standard_counts(dtheta_deg, dphi_deg)
-        return cls(np.arange(n_t + 1) * dtheta_deg, np.arange(n_p) * dphi_deg,
-                   dtheta_deg, dphi_deg)
+        return cls(*_axes(dtheta_deg, dphi_deg, Convention.STANDARD), dtheta_deg, dphi_deg)
 
 
 @dataclass(frozen=True)

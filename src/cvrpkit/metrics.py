@@ -77,8 +77,7 @@ def _integrate(grid: AngularGrid, ring_sums) -> float:
     by the cell solid angle dOmega; one fsum runs over the ring partials.
     """
     s = np.sin(np.radians(grid.theta_deg))
-    mod = grid.theta_deg % 180.0
-    s[(mod <= ANGLE_TOL_DEG) | (mod >= 180.0 - ANGLE_TOL_DEG)] = 0.0
+    s[[0, -1]] = 0.0  # the pole rings of a standard grid
     domega = math.radians(grid.dtheta_deg) * math.radians(grid.dphi_deg)
     return domega * math.fsum((s * ring_sums).tolist())
 

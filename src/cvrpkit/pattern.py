@@ -78,10 +78,13 @@ def _rel_diff(a, b):
 
 
 def remap_to_standard(p: PolarizedPattern) -> PolarizedPattern:
-    """Remap a distributed-axes pattern onto the standard grid.
+    """Remap a distributed-axes pattern onto the standard grid of its steps.
 
     A sample at distributed (theta < 0, phi) lands at standard
-    (-theta, phi + 180); non-negative theta samples land unchanged.
+    (-theta, phi + 180); non-negative theta samples land unchanged. Both
+    grids are the full sphere of the same steps, so distributed row i
+    lands on standard row |i - 180/dtheta|, and column j on j, or on
+    (j + n_phi/2) mod n_phi for rows behind the pole.
     Directions never measured stay zero-filled and flagged unmeasured.
     Samples landing on one standard cell must agree to a relative 1e-9;
     the first in row-major source order is kept.
@@ -90,28 +93,12 @@ def remap_to_standard(p: PolarizedPattern) -> PolarizedPattern:
     if g.convention is not Convention.DISTRIBUTED:
         raise ValueError("remap_to_standard expects a distributed-axes pattern")
     dt, dp = g.dtheta_deg, g.dphi_deg
-    if abs(round(180.0 / dp) * dp - 180.0) > ANGLE_TOL_DEG:
-        raise ValueError("phi step must divide 180 degrees for remapping")
     out_grid = AngularGrid.standard(dt, dp)
     n_t, n_p = out_grid.n_theta, out_grid.n_phi
 
-    back = g.theta_deg < -ANGLE_TOL_DEG
-    t_std = np.where(back, -g.theta_deg, g.theta_deg)
-    it = np.rint(t_std / dt).astype(np.intp)
-    off = (it >= n_t) | (np.abs(it * dt - t_std) > ANGLE_TOL_DEG)
-    if off.any():
-        theta = float(g.theta_deg[off.argmax()])
-        raise ValueError(f"theta={theta} deg does not land on the standard grid")
-
     rows, cols = np.nonzero(p.measured_mask())  # measured cells, row-major
-    p_std = (g.phi_deg[cols] + np.where(back[rows], 180.0, 0.0)) % 360.0
-    jt = np.rint(p_std / dp).astype(np.intp) % n_p
-    off = np.abs((jt * dp - p_std + 180.0) % 360.0 - 180.0) > ANGLE_TOL_DEG
-    if off.any():
-        phi = float(g.phi_deg[cols[off.argmax()]])
-        raise ValueError(f"phi={phi} deg does not land on the standard grid")
-
-    target = it[rows] * n_p + jt
+    back = rows < n_t - 1  # theta < 0
+    target = np.abs(rows - (n_t - 1)) * n_p + (cols + back * (n_p // 2)) % n_p
     vt = p.eirp_theta_mw[rows, cols]
     vp = p.eirp_phi_mw[rows, cols]
     cells, first, group = np.unique(target, return_index=True, return_inverse=True)

@@ -8,10 +8,9 @@ header are skipped, and a bad row is reported as "path:line: ...".
 Pattern files have a ``theta_deg,phi_deg,eirp_theta_dbm,eirp_phi_dbm``
 header and one row per grid cell in theta-major ascending order. Power is
 written in dBm with 12 significant digits; zero linear power is written as
-"-inf". The writer emits every cell, measured or not. A standard-convention
-file is always read onto the full-sphere grid of its steps, and the cells
-it leaves out are marked unmeasured; a distributed file spans the rows it
-lists.
+"-inf". The writer emits every cell, measured or not. A file of either
+convention is read onto the full-sphere grid of its steps, and the cells
+it leaves out are marked unmeasured.
 """
 
 from __future__ import annotations
@@ -25,7 +24,7 @@ from collections.abc import Callable, Iterable
 import numpy as np
 
 from .diagnostics import SweepComparison
-from .grid import ANGLE_TOL_DEG, AngularGrid, Convention, _outside_distributed
+from .grid import ANGLE_TOL_DEG, AngularGrid, Convention, _axes
 from .metrics import CvrpSweep
 from .pattern import PolarizedPattern
 
@@ -178,8 +177,8 @@ def write_pattern(p: PolarizedPattern, path: str) -> None:
 
 
 def read_pattern(path: str) -> PolarizedPattern:
-    """Read a pattern file; absent (theta, phi) cells are unmeasured, and
-    a standard-convention file is placed on the full-sphere grid.
+    """Read a pattern file onto the full-sphere grid of its steps and
+    convention; absent (theta, phi) cells are unmeasured.
 
     Metadata lines precede the column header. The body is parsed in bulk;
     a row that fails a check is reported as "path:lineno: ...".
@@ -199,25 +198,12 @@ def read_pattern(path: str) -> PolarizedPattern:
         frequency = float(meta.get("frequency_hz", "28e9"))
     except (KeyError, ValueError):
         raise ValueError(f"{path}: missing or invalid step/frequency metadata") from None
-    if not (0 < dtheta < math.inf and 0 < dphi < math.inf):
-        raise ValueError(f"{path}: dtheta_deg and dphi_deg must be positive and finite")
     if not 0 < frequency < math.inf:
         raise ValueError(f"{path}: frequency_hz must be positive and finite")
     if not rows.size:
         raise ValueError(f"{path}: file contains no samples")
-    if convention is Convention.DISTRIBUTED:
-        out = _outside_distributed(rows[:, 0], rows[:, 1])  # before the axes are allocated
-        if out.any():
-            k = int(out.argmax())
-            raise row_error(k, f"theta={float(rows[k, 0])}, phi={float(rows[k, 1])} lies outside "
-                               f"the distributed range theta [-180, 180), phi [0, 180]")
-
     try:
-        if convention is Convention.STANDARD:
-            grid = AngularGrid.standard(dtheta, dphi)
-        else:
-            grid = AngularGrid(_span_axis(rows[:, 0], dtheta), _span_axis(rows[:, 1], dphi),
-                               dtheta, dphi, convention)
+        grid = AngularGrid(*_axes(dtheta, dphi, convention), dtheta, dphi, convention)
         et, ep = np.zeros((2, grid.n_theta, grid.n_phi))
         meas = np.zeros(et.shape, dtype=bool)
     except (ValueError, MemoryError) as exc:  # MemoryError: a grid too large to hold
@@ -234,13 +220,6 @@ def read_pattern(path: str) -> PolarizedPattern:
     et.flat[cells] = rows[:, 2]
     ep.flat[cells] = rows[:, 3]
     return PolarizedPattern(grid, et, ep, frequency, meta.get("label", ""), meas)
-
-
-def _span_axis(values: np.ndarray, step: float) -> np.ndarray:
-    """The equispaced axis from the least of values, rounded to the greatest;
-    an off-step value is left for _node_indices to report."""
-    lo = float(values.min())
-    return lo + np.arange(round((float(values.max()) - lo) / step) + 1) * step
 
 
 def _node_indices(values: np.ndarray, axis: np.ndarray, step: float, name: str,

@@ -162,7 +162,7 @@ class TestScalarCommands:
 
     @pytest.mark.parametrize("old, new, message", [
         ("90,0,10,0", "90,0,4000,0", "bad.csv:9: dBm value '4000' overflows"),
-        ("dtheta_deg: 90", "dtheta_deg: 0", "bad.csv: dtheta_deg and dphi_deg must be positive"),
+        ("dtheta_deg: 90", "dtheta_deg: 0", "bad.csv: grid steps must be positive and finite"),
         ("dtheta_deg: 90", "dtheta_deg: 70", "bad.csv: dtheta_deg=70 must divide 180 degrees"),
     ])
     def test_bad_number_in_file_is_domain_error(self, tmp_path, old, new, message):

@@ -5,6 +5,7 @@ from cvrpkit.grid import (
     AngularGrid,
     Convention,
     Direction,
+    _axes,
     angular_distance_deg,
 )
 
@@ -45,22 +46,52 @@ def test_standard_step_must_divide_circle(dtheta, dphi, message):
 def test_standard_grid_is_full_sphere(theta, phi):
     with pytest.raises(ValueError, match="standard convention requires the full sphere"):
         AngularGrid(theta, phi, 1.5, 1.5, Convention.STANDARD)
-    AngularGrid(theta - 90.0, phi[phi <= 180.0], 1.5, 1.5, Convention.DISTRIBUTED)
+    # shifted into the distributed range, the same partial axes are refused too
+    with pytest.raises(ValueError, match="distributed convention requires the full sphere"):
+        AngularGrid(theta - 90.0, phi[phi <= 180.0], 1.5, 1.5, Convention.DISTRIBUTED)
+
+
+@pytest.mark.parametrize("theta0, phi0, dphi, message", [
+    (-170.5, 0.0, 1.5, "distributed convention requires the full sphere"),  # offset theta
+    (-180.0, 0.5, 1.5, "distributed convention requires the full sphere"),  # offset phi
+    (-180.0, 0.0, 7.0, "dphi_deg=7 must divide 180 degrees"),
+])
+def test_distributed_grid_is_full_sphere(theta0, phi0, dphi, message):
+    theta = theta0 + 1.5 * np.arange(240)
+    phi = np.arange(phi0, 180.0 + 1e-9, dphi)
+    with pytest.raises(ValueError, match=message):
+        AngularGrid(theta, phi, 1.5, dphi, Convention.DISTRIBUTED)
+    g = AngularGrid(-180.0 + 1.5 * np.arange(240), 1.5 * np.arange(121), 1.5, 1.5,
+                    Convention.DISTRIBUTED)
+    assert (g.theta_deg[-1], g.phi_deg[-1]) == (178.5, 180.0)
 
 
 def test_non_equispaced_rejected():
-    theta = np.array([0.0, 1.5, 3.1])
-    with pytest.raises(ValueError, match="equispaced"):
-        AngularGrid(theta, np.array([0.0, 1.5]), 1.5, 1.5)
+    theta = 1.5 * np.arange(121)
+    theta[2] = 3.1
+    with pytest.raises(ValueError, match="standard convention requires the full sphere"):
+        AngularGrid(theta, 1.5 * np.arange(240), 1.5, 1.5)
 
 
 def test_convention_range_enforced():
     theta = np.array([0.0, 90.0, 180.0, 270.0])
-    phi = np.array([0.0, 90.0])
+    phi = np.array([0.0, 90.0, 180.0])
     with pytest.raises(ValueError, match="standard"):
         AngularGrid(theta, phi, 90.0, 90.0, Convention.STANDARD)
     # same axes are fine as distributed after shifting theta
     AngularGrid(theta - 180.0, phi, 90.0, 90.0, Convention.DISTRIBUTED)
+
+
+@pytest.mark.parametrize("convention", list(Convention))
+def test_cell_count_bounded(convention):
+    # 0.05 deg steps: 3601 x 7200 or 7200 x 3601 cells, within 2**25
+    g = AngularGrid(*_axes(0.05, 0.05, convention), 0.05, 0.05, convention)
+    assert g.n_theta * g.n_phi == 25_927_200
+    with pytest.raises(ValueError, match=r"a 0\.04 x 0\.04 deg grid has 40\d{6} cells, "
+                                         r"more than the limit of 33554432"):
+        _axes(0.04, 0.04, convention)
+    with pytest.raises(ValueError, match="more than the limit"):
+        _axes(5e-324, 1.5, convention)  # 180 / step overflows to inf
 
 
 def test_direction_normalization():

@@ -15,7 +15,6 @@ from cvrpkit import (
     write_sweep_csv,
 )
 from cvrpkit.grid import AngularGrid, Convention, Direction
-from cvrpkit import patternio
 from cvrpkit.patternio import FORMAT_VERSION
 
 TOY = """\
@@ -161,7 +160,7 @@ class TestReadPattern:
         ("# dphi_deg: 180\n", "", "missing or invalid step/frequency metadata"),
         ("dtheta_deg: 90", "dtheta_deg: ninety", "missing or invalid step/frequency metadata"),
         ("frequency_hz: 2.8e+10", "frequency_hz: high", "missing or invalid step/frequency"),
-        ("dtheta_deg: 90", "dtheta_deg: 0", r"toy\.csv: dtheta_deg and dphi_deg must be positive"),
+        ("dtheta_deg: 90", "dtheta_deg: 0", r"toy\.csv: grid steps must be positive and finite"),
         ("dphi_deg: 180", "dphi_deg: -180", "must be positive"),
         ("dphi_deg: 180", "dphi_deg: nan", "must be positive"),
         ("frequency_hz: 2.8e+10", "frequency_hz: 0", r"toy\.csv: frequency_hz must be positive"),
@@ -214,12 +213,26 @@ class TestReadPattern:
             read_pattern(write_toy(tmp_path, TOY + row + "\n"))
 
     def test_distributed_convention(self, tmp_path):
+        # A distributed file is read onto the full sphere of its steps; the
+        # theta = -180 row it leaves out is unmeasured.
         p = read_pattern(write_toy(tmp_path, DISTRIBUTED))
         assert p.grid.convention is Convention.DISTRIBUTED
-        assert p.grid.theta_deg[0] == -90.0
+        assert p.grid.theta_deg.tolist() == [-180.0, -90.0, 0.0, 90.0]
+        assert p.grid.phi_deg.tolist() == [0.0, 180.0]
+        assert p.measured.tolist() == [[False, False], [True, True], [True, True], [True, True]]
+        assert p.eirp_theta_mw[1, 0] == 0.1 and p.eirp_theta_mw[3, 0] == 10.0
+
+    @pytest.mark.parametrize("text", [TOY, DISTRIBUTED])
+    def test_fine_steps_rejected_before_allocation(self, tmp_path, text):
+        # 1e-5 deg steps would be a grid of more than 6e14 cells.
+        text = text.replace("dtheta_deg: 90", "dtheta_deg: 1e-5").replace("dphi_deg: 180",
+                                                                         "dphi_deg: 1e-5")
+        with pytest.raises(ValueError, match=r"toy\.csv: a 1e-05 x 1e-05 deg grid has \d+ cells, "
+                                             r"more than the limit of 33554432"):
+            read_pattern(write_toy(tmp_path, text))
 
     @pytest.mark.parametrize("old, new, message", [
-        ("0,180,0,-inf", "45,180,0,-inf", r"toy\.csv:8: theta=45.0 lies outside \[-90, 90\] "
+        ("0,180,0,-inf", "45,180,0,-inf", r"toy\.csv:8: theta=45.0 lies outside \[-180, 90\] "
                                           r"or is inconsistent with step 90"),
         ("90,180,-inf,0", "90,100,-inf,0", r"toy\.csv:10: phi=100.0 lies outside \[0, 180\]"),
         ("90,180,-inf,0", "135,180,-inf,0", r"toy\.csv:10: theta=135.0 lies outside"),
@@ -229,26 +242,21 @@ class TestReadPattern:
             read_pattern(write_toy(tmp_path, DISTRIBUTED.replace(old, new)))
 
     @pytest.mark.parametrize("row, message", [
-        ("9e9,0,0,0", r"toy\.csv:13: theta=9000000000.0, phi=0.0 lies outside "
-                      r"the distributed range"),
-        ("-270,0,0,0", r"toy\.csv:13: theta=-270.0, phi=0.0 lies outside"),
-        ("180,0,0,0", r"toy\.csv:13: theta=180.0, phi=0.0 lies outside"),
-        ("0,-90,0,0", r"toy\.csv:13: theta=0.0, phi=-90.0 lies outside"),
-        ("0,270,0,0", r"toy\.csv:13: theta=0.0, phi=270.0 lies outside"),
+        ("9e9,0,0,0", r"toy\.csv:13: theta=9000000000.0 lies outside \[-180, 90\]"),
+        ("-270,0,0,0", r"toy\.csv:13: theta=-270.0 lies outside"),
+        ("180,0,0,0", r"toy\.csv:13: theta=180.0 lies outside"),
+        ("0,-90,0,0", r"toy\.csv:13: phi=-90.0 lies outside \[0, 180\]"),
+        ("0,270,0,0", r"toy\.csv:13: phi=270.0 lies outside"),
     ])
-    def test_distributed_row_out_of_range_rejected_before_allocation(self, tmp_path, monkeypatch,
-                                                                     row, message):
-        # At step 90 the span to theta 9e9 would be a 100-million-node axis.
-        def no_span(*args):
-            raise AssertionError("axis spanned before the range check")
-        monkeypatch.setattr(patternio, "_span_axis", no_span)
+    def test_distributed_row_out_of_range_rejected_with_line(self, tmp_path, row, message):
         with pytest.raises(ValueError, match=message):
             read_pattern(write_toy(tmp_path, DISTRIBUTED + row + "\n"))
 
-    def test_distributed_single_theta_rejected(self, tmp_path):
+    def test_distributed_single_theta_reads(self, tmp_path):
         text = DISTRIBUTED.replace(BODY_DISTRIBUTED, "90,0,10,0\n90,180,-inf,0\n")
-        with pytest.raises(ValueError, match=r"toy\.csv: theta axis needs at least two samples"):
-            read_pattern(write_toy(tmp_path, text))
+        p = read_pattern(write_toy(tmp_path, text))
+        assert p.measured.tolist() == [[False, False]] * 3 + [[True, True]]
+        assert p.eirp_theta_mw[3].tolist() == [10.0, 0.0]
 
     def test_non_utf8_rejected_with_path(self, tmp_path):
         f = tmp_path / "toy.csv"

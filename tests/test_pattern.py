@@ -28,11 +28,13 @@ from oracles import (
 
 
 def make_distributed(value_mw=1.0, dtheta=1.5, dphi=1.5):
-    theta = np.arange(-171.0, 171.0 + 1e-9, dtheta)
-    phi = np.arange(0.0, 180.0 + 1e-9, dphi)
+    """The full distributed grid, measured for |theta| <= 171 deg only."""
+    theta = np.arange(round(360.0 / dtheta)) * dtheta - 180.0
+    phi = np.arange(round(180.0 / dphi) + 1) * dphi
     g = AngularGrid(theta, phi, dtheta, dphi, Convention.DISTRIBUTED)
-    half = np.full((theta.size, phi.size), value_mw / 2.0)
-    return PolarizedPattern(g, half, half.copy(), label="dist")
+    meas = np.broadcast_to((np.abs(theta) <= 171.0)[:, None], (theta.size, phi.size))
+    half = np.where(meas, value_mw / 2.0, 0.0)
+    return PolarizedPattern(g, half, half.copy(), label="dist", measured=meas)
 
 
 def set_cell(p, i, j, vt, vp):
@@ -74,6 +76,33 @@ def remap_oracle(p):
     return et, ep, meas
 
 
+def random_field(rng, dtheta=1.5, dphi=1.5):
+    """A random field on physical directions on the full distributed
+    grid, so duplicates agree, with per-sample noise of 1e-12 relative:
+    within the duplicate tolerance, but it shows which duplicate the
+    remap keeps. Returns the grid, both polarizations and the axes."""
+    g = make_distributed(0.0, dtheta, dphi).grid
+    std = AngularGrid.standard(dtheta, dphi)
+    field = rng.uniform(0.1, 10.0, (2, std.n_theta, std.n_phi))
+    field[:, 0, :] = field[:, 0, :1]
+    field[:, -1, :] = field[:, -1, :1]
+    tt, pp = np.meshgrid(g.theta_deg, g.phi_deg, indexing="ij")
+    it = np.rint(np.abs(tt) / dtheta).astype(int)
+    jt = np.rint(np.where(tt < 0, pp + 180.0, pp) % 360.0 / dphi).astype(int) % std.n_phi
+    vals = field[:, it, jt] * (1.0 + 1e-12 * rng.uniform(-1, 1, (2,) + tt.shape))
+    return g, vals[0], vals[1], tt, pp
+
+
+def assert_matches_oracle(p):
+    """remap_to_standard(p) equals remap_oracle(p); returns the measured mask."""
+    out = remap_to_standard(p)
+    et, ep, meas = remap_oracle(p)
+    np.testing.assert_array_equal(out.eirp_theta_mw, et)
+    np.testing.assert_array_equal(out.eirp_phi_mw, ep)
+    np.testing.assert_array_equal(out.measured_mask(), meas)
+    return meas
+
+
 class TestRemap:
     def test_negative_theta_reflects_azimuth(self):
         p = make_distributed(0.0)
@@ -97,7 +126,7 @@ class TestRemap:
 
     def test_isotropic_coverage_by_unit_vectors(self):
         # Direction-by-direction oracle: a standard node is covered iff
-        # some distributed node's unit vector lies within 1e-9 of it.
+        # some measured distributed node's unit vector lies within 1e-9 of it.
         # Checked in blocks of nodes: |a - b| < 1e-9 implies a.b > 1 - 1e-18,
         # so keeping pairs with a.b > 1 - 1e-12 loses no covered pair, and
         # the exact norm then decides each kept pair.
@@ -105,7 +134,7 @@ class TestRemap:
         std = remap_to_standard(p)
         g, gd = std.grid, p.grid
         src = sph_to_unit(*np.meshgrid(gd.theta_deg, gd.phi_deg, indexing="ij"))
-        src = src.reshape(-1, 3)
+        src = src[p.measured_mask()]
         dst = sph_to_unit(*np.meshgrid(g.theta_deg, g.phi_deg, indexing="ij"))
         dst = dst.reshape(-1, 3)
         covered = np.zeros(len(dst), dtype=bool)
@@ -162,42 +191,21 @@ class TestRemap:
         with pytest.raises(ValueError, match="conflicting duplicate samples at pole theta=0"):
             remap_to_standard(p)
 
-    @pytest.mark.parametrize("theta0, phi0, dphi, message", [
-        (-170.5, 0.0, 1.5, r"theta=-170\.5 deg does not land on the standard grid"),
-        (-171.0, 0.5, 1.5, r"phi=0\.5 deg does not land on the standard grid"),
-        (-171.0, 0.0, 7.0, "phi step must divide 180 degrees"),
-    ])
-    def test_off_grid_axes_rejected(self, theta0, phi0, dphi, message):
-        theta = theta0 + 1.5 * np.arange(200)
-        phi = np.arange(phi0, 180.0 + 1e-9, dphi)
-        g = AngularGrid(theta, phi, 1.5, dphi, Convention.DISTRIBUTED)
-        ones = np.ones((g.n_theta, g.n_phi))
-        with pytest.raises(ValueError, match=message):
-            remap_to_standard(PolarizedPattern(g, ones, ones.copy()))
-
     def test_matches_loop_oracle(self):
-        # A random field on physical directions, so duplicates agree, with
-        # per-sample noise of 1e-12 relative: within the duplicate tolerance,
-        # but it shows which duplicate the remap keeps.
-        rng = np.random.default_rng(7)
-        p = make_distributed(0.0)
-        g = p.grid
-        std = AngularGrid.standard(g.dtheta_deg, g.dphi_deg)
-        field = rng.uniform(0.1, 10.0, (2, std.n_theta, std.n_phi))
-        field[:, 0, :] = field[:, 0, :1]
-        field[:, -1, :] = field[:, -1, :1]
-        tt, pp = np.meshgrid(g.theta_deg, g.phi_deg, indexing="ij")
-        it = np.rint(np.abs(tt) / g.dtheta_deg).astype(int)
-        jt = np.rint(np.where(tt < 0, pp + 180.0, pp) % 360.0 / g.dphi_deg).astype(int) % std.n_phi
-        vals = field[:, it, jt] * (1.0 + 1e-12 * rng.uniform(-1, 1, (2,) + tt.shape))
+        g, vt, vp, tt, pp = random_field(np.random.default_rng(7))
         blind = (tt > 100) & (tt < 115) & (pp > 40) & (pp < 70)
-        p = PolarizedPattern(g, vals[0], vals[1], label="random", measured=~blind)
-        out = remap_to_standard(p)
-        et, ep, meas = remap_oracle(p)
-        assert not meas.all()
-        np.testing.assert_array_equal(out.eirp_theta_mw, et)
-        np.testing.assert_array_equal(out.eirp_phi_mw, ep)
-        np.testing.assert_array_equal(out.measured_mask(), meas)
+        p = PolarizedPattern(g, vt, vp, label="random", measured=~blind)
+        assert not assert_matches_oracle(p).all()
+
+    @settings(max_examples=60, deadline=None)
+    @given(n_t=st.integers(2, 120), n_p=st.integers(2, 120),
+           seed=st.integers(0, 2 ** 32 - 1), density=st.floats(0.0, 1.0))
+    def test_matches_loop_oracle_on_any_steps(self, n_t, n_p, seed, density):
+        # Steps 180/n from 1.5 to 90 deg, and a random measured mask.
+        rng = np.random.default_rng(seed)
+        g, vt, vp, _, _ = random_field(rng, 180.0 / n_t, 180.0 / n_p)
+        measured = rng.uniform(size=vt.shape) < density
+        assert_matches_oracle(PolarizedPattern(g, vt, vp, measured=measured))
 
     def test_standard_input_rejected(self):
         with pytest.raises(ValueError, match="distributed"):
