@@ -14,9 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import AngularGrid, Convention
-from .masks import FOUR_PI
-from .metrics import _integrate
+from .grid import FOUR_PI, AngularGrid, Convention
 from .pattern import PolarizedPattern
 
 
@@ -147,7 +145,7 @@ def synthesize_directivity(spec: ArraySpec,
         raise ValueError(f"array synthesis requires a standard-convention grid, "
                          f"not a {grid.convention.value} one")
     intensity = _radiation_intensity(spec, grid)
-    total = _integrate(grid, intensity.sum(axis=1))
+    total = grid.integrate(intensity.sum(axis=1))
     d_lin = FOUR_PI * intensity / total
     with np.errstate(divide="ignore"):
         return 10.0 * np.log10(d_lin)

@@ -1,10 +1,8 @@
 """Radiated-power metrics: TRP, PRP, CVRP, and FoV sweeps.
 
 Patterns live on the standard grid, which always covers the full sphere;
-unmeasured cells count as 0 mW. Every metric is one quadrature on the
-node grid: numpy sums the integrand along phi within each theta ring,
-and a single math.fsum reduces the ring sums weighted by sin(theta)
-(exactly 0 on the pole rings), scaled by the cell solid angle dOmega.
+unmeasured cells count as 0 mW. Every metric is the grid's quadrature
+(AngularGrid.integrate). TRP integrates the total EIRP over the sphere.
 CVRP divides the masked power by the mask's area fraction: the same
 quadrature over per-ring member counts, over that of the whole sphere
 (n_phi per ring). A full-sphere mask has exactly those counts, so its
@@ -13,13 +11,12 @@ area fraction is exactly 1.0 and full-sphere CVRP equals TRP bit for bit.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import ANGLE_TOL_DEG, AngularGrid, Convention, Direction
-from .masks import FOUR_PI, SphericalMask, _cap_distance_deg, membership
+from .grid import ANGLE_TOL_DEG, FOUR_PI, AngularGrid, Convention, Direction
+from .masks import SphericalMask, _cap_distance_deg, membership
 from .pattern import PolarizedPattern, sample_bilinear
 
 #: Cap half-angles of the default FoV sweep (degrees); 0 means point FoV.
@@ -70,24 +67,12 @@ def _require_standard(p: PolarizedPattern) -> None:
         raise ValueError("metrics require a standard-convention pattern")
 
 
-def _integrate(grid: AngularGrid, ring_sums) -> float:
-    """Grid quadrature of a field given its per-ring sums along phi.
-
-    Rings are weighted by sin(theta), with the pole rings exactly 0, and
-    by the cell solid angle dOmega; one fsum runs over the ring partials.
-    """
-    s = np.sin(np.radians(grid.theta_deg))
-    s[[0, -1]] = 0.0  # the pole rings of a standard grid
-    domega = math.radians(grid.dtheta_deg) * math.radians(grid.dphi_deg)
-    return domega * math.fsum((s * ring_sums).tolist())
-
-
 def _area_fraction(member: np.ndarray, grid: AngularGrid) -> float:
     """Quadrature weight of the member cells over that of the sphere."""
-    w_mask = _integrate(grid, member.sum(axis=1))
+    w_mask = grid.integrate(member.sum(axis=1))
     if w_mask <= 0.0:
         return 0.0
-    w_full = _integrate(grid, np.full(grid.n_theta, grid.n_phi))
+    w_full = grid.integrate(np.full(grid.n_theta, grid.n_phi))
     return w_mask / w_full  # exactly 1.0 when every cell is a member
 
 
@@ -95,7 +80,7 @@ def _masked_cvrp(grid: AngularGrid, total_mw: np.ndarray, member: np.ndarray) ->
     area_scale = _area_fraction(member, grid)
     if area_scale <= 0.0:
         raise ValueError("mask covers no grid cells with nonzero quadrature weight")
-    power = _integrate(grid, np.where(member, total_mw, 0.0).sum(axis=1))
+    power = grid.integrate(np.where(member, total_mw, 0.0).sum(axis=1))
     return power / (FOUR_PI * area_scale)
 
 
@@ -126,7 +111,8 @@ def cvrp(p: PolarizedPattern, m: SphericalMask) -> float:
 
 def trp(p: PolarizedPattern) -> float:
     """Total radiated power (mW): full-sphere Riemann sum over 4*pi."""
-    return cvrp(p, SphericalMask.full_sphere())
+    _require_standard(p)
+    return p.grid.integrate(p.total_mw.sum(axis=1)) / FOUR_PI
 
 
 def prp(p: PolarizedPattern, theta1_deg: float, theta2_deg: float) -> float:
@@ -144,7 +130,7 @@ def prp(p: PolarizedPattern, theta1_deg: float, theta2_deg: float) -> float:
     lo = np.maximum(g.theta_deg - half, theta1_deg)
     hi = np.minimum(g.theta_deg + half, theta2_deg)
     frac = np.clip((hi - lo) / g.dtheta_deg, 0.0, 1.0)
-    return _integrate(g, frac * p.total_mw.sum(axis=1)) / FOUR_PI
+    return g.integrate(frac * p.total_mw.sum(axis=1)) / FOUR_PI
 
 
 def prp_preset(p: PolarizedPattern, name: str) -> float:

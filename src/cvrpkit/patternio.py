@@ -24,7 +24,7 @@ from collections.abc import Callable, Iterable
 import numpy as np
 
 from .diagnostics import SweepComparison
-from .grid import ANGLE_TOL_DEG, AngularGrid, Convention, _axes
+from .grid import ANGLE_TOL_DEG, AngularGrid, Convention
 from .metrics import CvrpSweep
 from .pattern import PolarizedPattern
 
@@ -203,7 +203,7 @@ def read_pattern(path: str) -> PolarizedPattern:
     if not rows.size:
         raise ValueError(f"{path}: file contains no samples")
     try:
-        grid = AngularGrid(*_axes(dtheta, dphi, convention), dtheta, dphi, convention)
+        grid = AngularGrid(dtheta, dphi, convention)
         et, ep = np.zeros((2, grid.n_theta, grid.n_phi))
         meas = np.zeros(et.shape, dtype=bool)
     except (ValueError, MemoryError) as exc:  # MemoryError: a grid too large to hold

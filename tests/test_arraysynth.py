@@ -14,7 +14,7 @@ from cvrpkit import (
     trp,
 )
 from cvrpkit.arraysynth import _radiation_intensity
-from cvrpkit.grid import AngularGrid, Convention, _axes
+from cvrpkit.grid import AngularGrid, Convention
 
 from oracles import cosine_array_intensity, direct_sum_intensity, fine_grid_quadrature, sph_to_unit
 
@@ -191,8 +191,7 @@ class TestDirectivity:
                                             lambda spec, grid: synthesize_eirp(spec, 1.0, grid)])
     def test_distributed_grid_rejected(self, synthesize):
         # sin(theta) quadrature weights are negative behind the pole there
-        grid = AngularGrid(*_axes(15.0, 15.0, Convention.DISTRIBUTED), 15.0, 15.0,
-                           Convention.DISTRIBUTED)
+        grid = AngularGrid(15.0, 15.0, Convention.DISTRIBUTED)
         with pytest.raises(ValueError, match="requires a standard-convention grid, "
                                              "not a distributed one"):
             synthesize(ArraySpec(element=ElementModel.COSINE), grid)

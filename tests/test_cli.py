@@ -184,6 +184,25 @@ class TestScalarCommands:
         assert code == 1
         assert "error:" in err
 
+    @pytest.mark.parametrize("argv", [
+        ["trp", "{dist}"],
+        ["prp", "{dist}", "--preset", "uhrp"],
+        ["cvrp", "{dist}", "--cap", "30"],
+        ["sweep", "{dist}", "-o", "{out}"],
+        ["rotate", "{dist}", "--about-y", "10", "-o", "{out}"],
+    ], ids=["trp", "prp", "cvrp", "sweep", "rotate"])
+    def test_distributed_file_names_path_and_remap(self, tmp_path, capsys, argv):
+        dist = tmp_path / "dist.csv"
+        dist.write_text("# format_version: cvrp-pattern/1\n# convention: distributed\n"
+                        "# dtheta_deg: 90\n# dphi_deg: 180\n"
+                        "theta_deg,phi_deg,eirp_theta_dbm,eirp_phi_dbm\n0,0,0,0\n",
+                        encoding="utf-8")
+        out = tmp_path / "out.csv"
+        code, stdout, err = run(capsys, [a.format(dist=dist, out=out) for a in argv])
+        assert code == 1 and stdout == "" and not out.exists()
+        assert err == (f"error: {dist}: distributed-convention pattern; "
+                       f"run 'cvrpkit remap' on it first\n")
+
 
 class TestNonFiniteArguments:
     @pytest.mark.parametrize("value", ["nan", "inf"])

@@ -5,7 +5,6 @@ from cvrpkit.grid import (
     AngularGrid,
     Convention,
     Direction,
-    _axes,
     angular_distance_deg,
 )
 
@@ -37,61 +36,46 @@ def test_standard_step_must_divide_circle(dtheta, dphi, message):
         AngularGrid.standard(dtheta, dphi)
 
 
-@pytest.mark.parametrize("theta, phi", [
-    (np.arange(61) * 1.5, np.arange(240) * 1.5),         # theta 0..90
-    (30.0 + np.arange(61) * 1.5, np.arange(240) * 1.5),  # theta 30..120
-    (np.arange(121) * 1.5, np.arange(120) * 1.5),        # phi 0..178.5
-    (np.arange(121) * 1.5, 10.0 + np.arange(240) * 1.5),  # phi shifted
-])
-def test_standard_grid_is_full_sphere(theta, phi):
-    with pytest.raises(ValueError, match="standard convention requires the full sphere"):
-        AngularGrid(theta, phi, 1.5, 1.5, Convention.STANDARD)
-    # shifted into the distributed range, the same partial axes are refused too
-    with pytest.raises(ValueError, match="distributed convention requires the full sphere"):
-        AngularGrid(theta - 90.0, phi[phi <= 180.0], 1.5, 1.5, Convention.DISTRIBUTED)
+def test_distributed_grid_is_full_sphere():
+    with pytest.raises(ValueError, match="dphi_deg=7 must divide 180 degrees"):
+        AngularGrid(1.5, 7.0, Convention.DISTRIBUTED)
+    g = AngularGrid(1.5, 1.5, Convention.DISTRIBUTED)
+    assert (g.theta_deg[0], g.theta_deg[-1], g.phi_deg[-1]) == (-180.0, 178.5, 180.0)
 
 
-@pytest.mark.parametrize("theta0, phi0, dphi, message", [
-    (-170.5, 0.0, 1.5, "distributed convention requires the full sphere"),  # offset theta
-    (-180.0, 0.5, 1.5, "distributed convention requires the full sphere"),  # offset phi
-    (-180.0, 0.0, 7.0, "dphi_deg=7 must divide 180 degrees"),
-])
-def test_distributed_grid_is_full_sphere(theta0, phi0, dphi, message):
-    theta = theta0 + 1.5 * np.arange(240)
-    phi = np.arange(phi0, 180.0 + 1e-9, dphi)
-    with pytest.raises(ValueError, match=message):
-        AngularGrid(theta, phi, 1.5, dphi, Convention.DISTRIBUTED)
-    g = AngularGrid(-180.0 + 1.5 * np.arange(240), 1.5 * np.arange(121), 1.5, 1.5,
-                    Convention.DISTRIBUTED)
-    assert (g.theta_deg[-1], g.phi_deg[-1]) == (178.5, 180.0)
+def test_axes_derive_from_steps():
+    with pytest.raises(TypeError):
+        AngularGrid(1.5 * np.arange(121), 1.5 * np.arange(240), 1.5, 1.5)
+    g = AngularGrid.standard()
+    with pytest.raises(ValueError, match="read-only"):
+        g.theta_deg[1] = 3.1
 
 
-def test_non_equispaced_rejected():
-    theta = 1.5 * np.arange(121)
-    theta[2] = 3.1
-    with pytest.raises(ValueError, match="standard convention requires the full sphere"):
-        AngularGrid(theta, 1.5 * np.arange(240), 1.5, 1.5)
+def test_grids_compare_and_hash_by_steps_and_convention():
+    assert AngularGrid.standard() == AngularGrid(1.5, 1.5)
+    assert hash(AngularGrid.standard()) == hash(AngularGrid(1.5, 1.5))
+    assert AngularGrid(1.5, 1.5) != AngularGrid(1.5, 3.0)
+    assert AngularGrid(1.5, 1.5) != AngularGrid(3.0, 1.5)
+    assert AngularGrid(1.5, 1.5) != AngularGrid(1.5, 1.5, Convention.DISTRIBUTED)
+    assert len({AngularGrid.standard(), AngularGrid(1.5, 1.5), AngularGrid(3.0, 3.0)}) == 2
 
 
-def test_convention_range_enforced():
-    theta = np.array([0.0, 90.0, 180.0, 270.0])
-    phi = np.array([0.0, 90.0, 180.0])
-    with pytest.raises(ValueError, match="standard"):
-        AngularGrid(theta, phi, 90.0, 90.0, Convention.STANDARD)
-    # same axes are fine as distributed after shifting theta
-    AngularGrid(theta - 180.0, phi, 90.0, 90.0, Convention.DISTRIBUTED)
+def test_quadrature_needs_standard_grid():
+    g = AngularGrid(15.0, 15.0, Convention.DISTRIBUTED)
+    with pytest.raises(ValueError, match="standard-convention grid"):
+        g.integrate(np.ones(g.n_theta))
 
 
 @pytest.mark.parametrize("convention", list(Convention))
 def test_cell_count_bounded(convention):
     # 0.05 deg steps: 3601 x 7200 or 7200 x 3601 cells, within 2**25
-    g = AngularGrid(*_axes(0.05, 0.05, convention), 0.05, 0.05, convention)
+    g = AngularGrid(0.05, 0.05, convention)
     assert g.n_theta * g.n_phi == 25_927_200
     with pytest.raises(ValueError, match=r"a 0\.04 x 0\.04 deg grid has 40\d{6} cells, "
                                          r"more than the limit of 33554432"):
-        _axes(0.04, 0.04, convention)
+        AngularGrid(0.04, 0.04, convention)
     with pytest.raises(ValueError, match="more than the limit"):
-        _axes(5e-324, 1.5, convention)  # 180 / step overflows to inf
+        AngularGrid(5e-324, 1.5, convention)  # 180 / step overflows to inf
 
 
 def test_direction_normalization():

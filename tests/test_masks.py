@@ -41,6 +41,41 @@ class TestSolidAngles:
         with pytest.raises(ValueError):
             SphericalMask.cap(Direction(0, 0), 181.0)
 
+    def test_solid_angle_cannot_be_passed(self):
+        with pytest.raises(TypeError):
+            SphericalMask(MaskKind.CAP, center=Direction(0, 0), half_angle_deg=30.0,
+                          solid_angle_sr=1.0)
+
+
+_CAP = dict(center=Direction(10, 20), half_angle_deg=30.0)
+_WINDOW = dict(theta_min_deg=30.0, theta_max_deg=90.0, phi_min_deg=10.0, phi_extent_deg=90.0)
+
+
+class TestConstructor:
+    def test_raw_masks_equal_factory_masks(self):
+        assert SphericalMask(MaskKind.CAP, **_CAP) == SphericalMask.cap(Direction(10, 20), 30.0)
+        assert (SphericalMask(MaskKind.WINDOW, **{**_WINDOW, "phi_min_deg": 370.0})
+                == SphericalMask.window(30.0, 90.0, 10.0, 100.0))
+
+    @pytest.mark.parametrize("kind, geometry, message", [
+        (MaskKind.CAP, {"half_angle_deg": 30.0}, "cap mask takes exactly center, half_angle_deg"),
+        (MaskKind.CAP, {**_CAP, "half_angle_deg": 0.0}, r"half-angle must be in \(0, 180\]"),
+        (MaskKind.CAP, {**_CAP, "half_angle_deg": 181.0}, r"half-angle must be in \(0, 180\]"),
+        (MaskKind.CAP, {**_CAP, "half_angle_deg": math.nan}, r"half-angle must be in \(0, 180\]"),
+        (MaskKind.CAP, {**_CAP, "phi_extent_deg": 90.0}, "cap mask takes exactly"),
+        (MaskKind.WINDOW, {**_WINDOW, "theta_min_deg": 90.0, "theta_max_deg": 30.0},
+         "theta_min < theta_max"),
+        (MaskKind.WINDOW, {**_WINDOW, "phi_extent_deg": 0.0}, r"phi extent must be in \(0, 360\]"),
+        (MaskKind.WINDOW, {**_WINDOW, "phi_extent_deg": 360.5}, r"phi extent must be in \(0, 360\]"),
+        (MaskKind.WINDOW, {**_WINDOW, "phi_min_deg": math.inf}, "phi_min must be finite"),
+        (MaskKind.WINDOW, {**_WINDOW, "phi_min_deg": None}, "window mask takes exactly"),
+    ], ids=["cap_without_center", "half_angle_0", "half_angle_181", "half_angle_nan",
+            "cap_with_window_field", "reversed_theta", "phi_extent_0", "phi_extent_360.5",
+            "phi_min_inf", "window_without_phi_min"])
+    def test_raw_constructor_validates(self, kind, geometry, message):
+        with pytest.raises(ValueError, match=message):
+            SphericalMask(kind, **geometry)
+
 
 class TestMembership:
     def test_cap_at_pole(self, std_grid):

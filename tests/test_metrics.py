@@ -104,11 +104,18 @@ class TestPrp:
 
 
 class TestCvrp:
-    def test_full_sphere_is_trp_bitwise(self, rng):
+    @pytest.mark.parametrize("mask", [
+        SphericalMask.full_sphere(),
+        SphericalMask.cap(Direction(0.0, 77.0), 180.0),
+        SphericalMask.cap(Direction(180.0, 0.0), 180.0),
+        SphericalMask.cap(Direction(90.0, 359.9), 180.0),
+        SphericalMask.cap(Direction(47.3, 211.7), 180.0),
+    ], ids=["full_sphere", "cap_theta0", "cap_theta180", "cap_phi359.9", "cap_generic"])
+    def test_full_sphere_is_trp_bitwise(self, rng, mask):
         for _ in range(5):
             f = lobe_mixture(rng)
             p = pattern_from_function(f, AngularGrid.standard())
-            assert cvrp(p, SphericalMask.full_sphere()) == trp(p)
+            assert cvrp(p, mask) == trp(p)
 
     def test_isotropic_flat_over_caps(self, iso_pattern):
         # every cap returns exactly the same value as the full sphere

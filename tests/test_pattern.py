@@ -29,10 +29,8 @@ from oracles import (
 
 def make_distributed(value_mw=1.0, dtheta=1.5, dphi=1.5):
     """The full distributed grid, measured for |theta| <= 171 deg only."""
-    theta = np.arange(round(360.0 / dtheta)) * dtheta - 180.0
-    phi = np.arange(round(180.0 / dphi) + 1) * dphi
-    g = AngularGrid(theta, phi, dtheta, dphi, Convention.DISTRIBUTED)
-    meas = np.broadcast_to((np.abs(theta) <= 171.0)[:, None], (theta.size, phi.size))
+    g = AngularGrid(dtheta, dphi, Convention.DISTRIBUTED)
+    meas = np.broadcast_to((np.abs(g.theta_deg) <= 171.0)[:, None], (g.n_theta, g.n_phi))
     half = np.where(meas, value_mw / 2.0, 0.0)
     return PolarizedPattern(g, half, half.copy(), label="dist", measured=meas)
 
