@@ -11,29 +11,26 @@ from cvrpkit import (
     ElementModel,
     compare_sweeps,
     cvrp_sweep,
-    rotate_about_y,
     synthesize_eirp,
 )
-from cvrpkit.grid import Direction
 
 SCAN = -45.0
 FAULTS = [frozenset({7}), frozenset({8, 7}), frozenset({14, 7})]
 
 
-def aligned_sweep(failed=frozenset()):
+def beam_sweep(failed=frozenset()):
     spec = ArraySpec(element=ElementModel.COSINE, scan_angle_deg=SCAN,
                      failed_elements=failed)
-    p = synthesize_eirp(spec, 1.0).pattern
-    return cvrp_sweep(rotate_about_y(p, -SCAN), Direction(0.0, 0.0))
+    return cvrp_sweep(synthesize_eirp(spec, 1.0).pattern, spec.beam_direction)
 
 
 def main():
-    reference = aligned_sweep()
+    reference = beam_sweep()
     print(f"2x8 cosine array, scan {SCAN:g} deg, equal TRP for all cases")
     print()
     for failed in FAULTS:
         label = ",".join(str(i) for i in sorted(failed))
-        cmp = compare_sweeps(reference, aligned_sweep(failed))
+        cmp = compare_sweeps(reference, beam_sweep(failed))
         print(f"failed elements {label}:")
         print("  FoV (deg)   delta (dB)")
         for fov, d in zip(cmp.fov_deg, cmp.delta_db):

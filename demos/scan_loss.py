@@ -1,7 +1,7 @@
 """Steering loss across FoV sweeps.
 
-Synthesizes the same array at several scan angles, rotates each steered
-beam back to boresight so the sweeps are comparable, and prints how the
+Synthesizes the same array at several scan angles, sweeps caps centred
+on each steered beam so the sweeps are comparable, and prints how the
 boresight/steered gap closes as the view widens to the full sphere.
 """
 
@@ -9,25 +9,20 @@ from cvrpkit import (
     ArraySpec,
     ElementModel,
     cvrp_sweep,
-    rotate_about_y,
     synthesize_eirp,
     to_dbm,
 )
-from cvrpkit.grid import Direction
 
 SCANS = (0.0, -22.5, -45.0)
 
 
-def aligned_sweep(scan_deg):
+def beam_sweep(scan_deg):
     spec = ArraySpec(element=ElementModel.COSINE, scan_angle_deg=scan_deg)
-    p = synthesize_eirp(spec, 1.0).pattern
-    if scan_deg != 0.0:
-        p = rotate_about_y(p, -scan_deg)  # put the beam on boresight
-    return cvrp_sweep(p, Direction(0.0, 0.0))
+    return cvrp_sweep(synthesize_eirp(spec, 1.0).pattern, spec.beam_direction)
 
 
 def main():
-    sweeps = {s: aligned_sweep(s) for s in SCANS}
+    sweeps = {s: beam_sweep(s) for s in SCANS}
     header = "FoV half-angle " + "".join(f"  scan {s:+6.1f}" for s in SCANS)
     print("CVRP (dBm) vs cap half-angle, equal 0 dBm TRP for every scan")
     print(header)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import FOUR_PI, AngularGrid, Convention
+from .grid import FOUR_PI, AngularGrid, Convention, Direction
 from .pattern import PolarizedPattern
 
 
@@ -63,6 +63,13 @@ class ArraySpec:
     @property
     def n_elements(self) -> int:
         return self.rows * self.cols
+
+    @property
+    def beam_direction(self) -> Direction:
+        """Direction the steering_weights phases point the beam: theta |scan|
+        in the phi = 0 plane, or the phi = 180 plane for a negative scan."""
+        scan = self.scan_angle_deg
+        return Direction(abs(scan), 180.0 if scan < 0 else 0.0)
 
     def element_position_wl(self, index: int) -> tuple[float, float]:
         """(x, y) lattice position in wavelengths of a 1-based element index."""

@@ -173,10 +173,10 @@ def _cmd_diagnose(args) -> int:
     return 0
 
 
-def _aligned_sweep(spec: ArraySpec, ref_mw: float) -> metrics.CvrpSweep:
-    result = arraysynth.synthesize_eirp(spec, ref_mw)
-    p = pattern.rotate_about_y(result.pattern, -spec.scan_angle_deg)
-    return metrics.cvrp_sweep(p, Direction(0.0, 0.0))
+def _beam_sweep(spec: ArraySpec, ref_mw: float) -> metrics.CvrpSweep:
+    """The default cap sweep of the synthesized pattern about its beam."""
+    p = arraysynth.synthesize_eirp(spec, ref_mw).pattern
+    return metrics.cvrp_sweep(p, spec.beam_direction)
 
 
 def _cmd_repro_fig5(args) -> int:
@@ -185,7 +185,7 @@ def _cmd_repro_fig5(args) -> int:
     for element in (ElementModel.COSINE, ElementModel.HUYGENS):
         for scan in (0.0, -4.5, -45.0):
             spec = ArraySpec(element=element, scan_angle_deg=scan)
-            sweep = _aligned_sweep(spec, ref_mw)
+            sweep = _beam_sweep(spec, ref_mw)
             path = os.path.join(
                 args.outdir, f"fig5_{element.value}_scan{scan:+g}.csv")
             patternio.write_sweep_csv(sweep, path)
@@ -201,8 +201,8 @@ def _cmd_repro_fig6(args) -> int:
     all_on = ArraySpec(element=element, scan_angle_deg=args.scan)
     faulty = ArraySpec(element=element, scan_angle_deg=args.scan,
                        failed_elements=fe)
-    sweep_on = _aligned_sweep(all_on, ref_mw)
-    sweep_fe = _aligned_sweep(faulty, ref_mw)
+    sweep_on = _beam_sweep(all_on, ref_mw)
+    sweep_fe = _beam_sweep(faulty, ref_mw)
     cmp = diagnostics.compare_sweeps(sweep_on, sweep_fe, args.threshold_db)
     tag = f"{element.value}_scan{args.scan:+g}"
     path_on = os.path.join(args.outdir, f"fig6_{tag}_all_on.csv")

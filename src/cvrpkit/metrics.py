@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grid import ANGLE_TOL_DEG, FOUR_PI, AngularGrid, Convention, Direction
-from .masks import SphericalMask, _cap_distance_deg, membership
+from .masks import MaskKind, SphericalMask, _cap_distance_deg, membership
 from .pattern import PolarizedPattern, sample_bilinear
 
 #: Cap half-angles of the default FoV sweep (degrees); 0 means point FoV.
@@ -76,17 +76,24 @@ def _area_fraction(member: np.ndarray, grid: AngularGrid) -> float:
     return w_mask / w_full  # exactly 1.0 when every cell is a member
 
 
-def _masked_cvrp(grid: AngularGrid, total_mw: np.ndarray, member: np.ndarray) -> float:
+def _describe(m: SphericalMask) -> str:
+    if m.kind is MaskKind.CAP:
+        return f"a {m.half_angle_deg:g} deg cap at ({m.center.theta_deg:g}, {m.center.phi_deg:g})"
+    return (f"the window theta {m.theta_min_deg:g}..{m.theta_max_deg:g}, phi "
+            f"{m.phi_min_deg:g}..{m.phi_min_deg + m.phi_extent_deg:g} deg")
+
+
+def _masked_cvrp(grid: AngularGrid, total_mw: np.ndarray, member: np.ndarray,
+                 m: SphericalMask) -> float:
+    """CVRP over the member cells of mask m, which the errors name."""
+    if m.solid_angle_sr < 1e-12:
+        raise ValueError(f"{_describe(m)} has a degenerate solid angle")
     area_scale = _area_fraction(member, grid)
     if area_scale <= 0.0:
-        raise ValueError("mask covers no grid cells with nonzero quadrature weight")
+        raise ValueError(f"{_describe(m)} covers no grid cells with nonzero quadrature "
+                         f"weight on a {grid.dtheta_deg:g} x {grid.dphi_deg:g} deg grid")
     power = grid.integrate(np.where(member, total_mw, 0.0).sum(axis=1))
     return power / (FOUR_PI * area_scale)
-
-
-def _require_extended(m: SphericalMask) -> None:
-    if m.solid_angle_sr < 1e-12:
-        raise ValueError("mask solid angle is degenerate")
 
 
 def effective_solid_angle(m: SphericalMask, grid: AngularGrid) -> float:
@@ -105,8 +112,7 @@ def cvrp(p: PolarizedPattern, m: SphericalMask) -> float:
     cvrp_point.
     """
     _require_standard(p)
-    _require_extended(m)
-    return _masked_cvrp(p.grid, p.total_mw, membership(m, p.grid))
+    return _masked_cvrp(p.grid, p.total_mw, membership(m, p.grid), m)
 
 
 def trp(p: PolarizedPattern) -> float:
@@ -163,7 +169,7 @@ def cvrp_sweep(p: PolarizedPattern, center: Direction,
         if f == 0.0:
             val = cvrp_point(p, center)
         else:
-            _require_extended(SphericalMask.cap(center, f))
-            val = _masked_cvrp(p.grid, total, dist <= f + ANGLE_TOL_DEG)
+            val = _masked_cvrp(p.grid, total, dist <= f + ANGLE_TOL_DEG,
+                               SphericalMask.cap(center, f))
         entries.append((f, val))
     return CvrpSweep(tuple(entries), pattern_label=p.label)

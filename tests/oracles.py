@@ -13,7 +13,7 @@ import math
 import numpy as np
 
 from cvrpkit.arraysynth import ArraySpec, element_field, steering_weights
-from cvrpkit.grid import ANGLE_TOL_DEG, AngularGrid
+from cvrpkit.grid import ANGLE_TOL_DEG, AngularGrid, Direction
 from cvrpkit.masks import SphericalMask
 from cvrpkit.pattern import PolarizedPattern
 
@@ -60,22 +60,22 @@ def cosine_array_intensity(theta_deg, phi_deg, rows: int = 2, cols: int = 8,
     return elem2 * af2
 
 
-def direct_sum_intensity(spec: ArraySpec, grid: AngularGrid) -> np.ndarray:
-    """Radiation intensity with one complex exponential per live element
-    over the full grid: the library's array factor before it used Horner's
-    rule, kept as the reference for that recurrence's rounding."""
+def direct_sum_intensity(spec: ArraySpec, theta_deg, phi_deg) -> np.ndarray:
+    """Radiation intensity in the directions (theta_deg, phi_deg), with one
+    complex exponential per live element: the library's array factor before
+    it used Horner's rule, kept as the reference for that recurrence's
+    rounding and for the analytic cap reference."""
     w = steering_weights(spec)
-    tt, pp = np.meshgrid(grid.theta_deg, grid.phi_deg, indexing="ij")
-    u = sph_to_unit(tt, pp)
+    u = sph_to_unit(theta_deg, phi_deg)
     sx, sy = u[..., 0], u[..., 1]
     k_s = 2.0 * math.pi * spec.spacing_wl
-    af = np.zeros(tt.shape, dtype=complex)
+    af = np.zeros(sx.shape, dtype=complex)
     for row in range(spec.rows):
         for col in range(spec.cols):
             if w[row, col] == 0:
                 continue
             af += w[row, col] * np.exp(1j * k_s * (col * sx + row * sy))
-    field = element_field(spec.element, tt) * np.abs(af)
+    field = element_field(spec.element, theta_deg) * np.abs(af)
     return field ** 2
 
 
@@ -131,6 +131,16 @@ def pattern_from_function(f, grid: AngularGrid) -> PolarizedPattern:
     return PolarizedPattern(grid, vals, np.zeros_like(vals), label="synthetic")
 
 
+def cap_frame(center_theta_deg: float, center_phi_deg: float) -> np.ndarray:
+    """Orthonormal frame (e1, e2, axis) as rows, with axis at the cap center."""
+    axis = sph_to_unit(center_theta_deg, center_phi_deg)
+    helper = (np.array([0.0, 0.0, 1.0]) if abs(axis[2]) < 0.9
+              else np.array([1.0, 0.0, 0.0]))
+    e1 = np.cross(helper, axis)
+    e1 /= np.linalg.norm(e1)
+    return np.stack([e1, np.cross(axis, e1), axis])
+
+
 def mc_cap_mean(f, center_theta_deg: float, center_phi_deg: float,
                 half_angle_deg: float, n_samples: int,
                 rng: np.random.Generator) -> tuple[float, float]:
@@ -143,15 +153,37 @@ def mc_cap_mean(f, center_theta_deg: float, center_phi_deg: float,
     psi = rng.uniform(0.0, 2.0 * math.pi, n_samples)
     s = np.sqrt(1.0 - z * z)
     local = np.stack([s * np.cos(psi), s * np.sin(psi), z], axis=-1)
-    axis = sph_to_unit(center_theta_deg, center_phi_deg)
-    helper = (np.array([0.0, 0.0, 1.0]) if abs(axis[2]) < 0.9
-              else np.array([1.0, 0.0, 0.0]))
-    e1 = np.cross(helper, axis)
-    e1 /= np.linalg.norm(e1)
-    e2 = np.cross(axis, e1)
-    pts = local[:, 0:1] * e1 + local[:, 1:2] * e2 + local[:, 2:3] * axis
-    samples = f(pts)
+    samples = f(local @ cap_frame(center_theta_deg, center_phi_deg))
     return float(samples.mean()), float(samples.std(ddof=1) / math.sqrt(n_samples))
+
+
+def analytic_cap_cvrp(spec: ArraySpec, reference_trp_mw: float, center: Direction,
+                      half_angles_deg) -> list[float]:
+    """CVRP (mW) of the pattern synthesized on the default 1.5 deg grid over
+    caps about a center, from the array-factor formula rather than from
+    grid nodes.
+
+    Each cap is integrated in cap-centred coordinates: 64 Gauss-Legendre
+    nodes in cos(rho) times 128 equispaced azimuths. The intensity is
+    normalized by its Riemann sum on the 1.5 deg grid, the total that
+    synthesize_directivity divides by, so the result is the mean EIRP the
+    grid pattern would have if it were known between the nodes.
+    """
+    total, _ = fine_grid_quadrature(lambda t, p: direct_sum_intensity(spec, t, p), 1.5)
+    x, wx = np.polynomial.legendre.leggauss(64)
+    psi = 2.0 * math.pi * np.arange(128) / 128
+    frame = cap_frame(center.theta_deg, center.phi_deg)
+    out = []
+    for r in half_angles_deg:
+        c0 = math.cos(math.radians(r))
+        z = c0 + (1.0 - c0) * (x + 1.0) / 2.0
+        s = np.sqrt(1.0 - z * z)[:, None]
+        local = np.stack(np.broadcast_arrays(s * np.cos(psi), s * np.sin(psi), z[:, None]),
+                         axis=-1)
+        intensity = direct_sum_intensity(spec, *unit_to_sph(local @ frame))
+        mean = float((wx / 2.0) @ intensity.mean(axis=1))
+        out.append(reference_trp_mw * FOUR_PI * mean / total)
+    return out
 
 
 def bilinear_nodes_reference(grid: AngularGrid, theta_deg: np.ndarray,

@@ -16,7 +16,7 @@ from cvrpkit import (
 from cvrpkit.arraysynth import _radiation_intensity
 from cvrpkit.grid import AngularGrid, Convention
 
-from oracles import cosine_array_intensity, direct_sum_intensity, fine_grid_quadrature, sph_to_unit
+from oracles import cosine_array_intensity, direct_sum_intensity, fine_grid_quadrature
 
 FOUR_PI = 4.0 * math.pi
 
@@ -156,16 +156,18 @@ class TestDirectivity:
         dom = math.radians(1.5) ** 2
         assert dom * np.sum(d_lin * s[:, None]) == pytest.approx(FOUR_PI, rel=1e-12)
 
-    def test_peak_near_scan_angle(self):
-        spec = ArraySpec(element=ElementModel.HUYGENS, scan_angle_deg=-45.0)
-        d = synthesize_directivity(spec)
-        g = AngularGrid.standard()
+    @pytest.mark.parametrize("element", list(ElementModel), ids=lambda e: e.value)
+    @pytest.mark.parametrize("beam", range(1, 22))
+    def test_peak_at_beam_direction(self, std_grid, element, beam):
+        spec = ArraySpec(element=element, scan_angle_deg=beam_angle_deg(beam))
+        d = synthesize_directivity(spec, std_grid)
         i, j = np.unravel_index(np.argmax(d), d.shape)
-        u = sph_to_unit(g.theta_deg[i], g.phi_deg[j])
-        # steering along -x: scan -45 puts the beam at phi 180, theta ~45
-        # (element roll-off pulls the power peak slightly toward broadside)
-        assert g.phi_deg[j] == pytest.approx(180.0)
-        assert 36.0 <= g.theta_deg[i] <= 45.0 + 1.5
+        beam_dir = spec.beam_direction
+        # element roll-off pulls the peak toward broadside: the cosine beam
+        # steered to -45 deg peaks at theta 43.5, one step away
+        assert abs(std_grid.theta_deg[i] - beam_dir.theta_deg) <= std_grid.dtheta_deg
+        if std_grid.theta_deg[i] > 0.0:
+            assert std_grid.phi_deg[j] == beam_dir.phi_deg
 
     def test_mirror_symmetry_in_scan(self, std_grid):
         # scanning to +s vs -s mirrors the pattern in phi -> 180 - phi
@@ -207,7 +209,8 @@ class TestDirectivity:
         spec = ArraySpec(element=ElementModel.HUYGENS, rows=rows, cols=cols,
                          scan_angle_deg=scan, failed_elements=failed)
         grid = AngularGrid.standard(step, step)
-        ref = direct_sum_intensity(spec, grid)
+        ref = direct_sum_intensity(spec, *np.meshgrid(grid.theta_deg, grid.phi_deg,
+                                                      indexing="ij"))
         assert np.abs(_radiation_intensity(spec, grid) - ref).max() <= 1e-13 * ref.max()
 
 

@@ -1,4 +1,3 @@
-import math
 import os
 import subprocess
 import sys
@@ -21,11 +20,12 @@ from cvrpkit import (
     synthesize_eirp,
     to_dbm,
     trp,
-    write_pattern,
     write_sweep_csv,
 )
 from cvrpkit.cli import cli_main
 from cvrpkit.grid import Direction
+
+from oracles import analytic_cap_cvrp
 
 
 @pytest.fixture(scope="module")
@@ -250,6 +250,16 @@ class TestPipelines:
         lib = cvrp_sweep(p, Direction(0, 0), (180.0, 90.0, 30.0, 0.0))
         np.testing.assert_allclose(sweep.cvrp_mw, lib.cvrp_mw, rtol=1e-9)
 
+    def test_sweep_cap_between_pole_rings_names_cap_and_step(self, tmp_path, capsys):
+        # on a 5 deg grid the default 3 deg cap at the pole holds only the
+        # zero-weight pole ring
+        pat = str(tmp_path / "coarse.csv")
+        assert cli_main(["synth", "--element", "cosine", "--step-deg", "5", "-o", pat]) == 0
+        code, _, err = run(capsys, ["sweep", pat, "-o", str(tmp_path / "s.csv")])
+        assert code == 1
+        assert err == ("error: a 3 deg cap at (0, 0) covers no grid cells with nonzero "
+                       "quadrature weight on a 5 x 5 deg grid\n")
+
     def test_diagnose_flags_fault(self, tmp_path, capsys):
         ref = str(tmp_path / "ref.csv")
         bad = str(tmp_path / "bad.csv")
@@ -309,23 +319,55 @@ class TestPipelines:
     def test_repro_fig5_writes_six_sweeps(self, tmp_path, capsys):
         code, out, _ = run(capsys, ["repro-fig5", "--outdir", str(tmp_path)])
         assert code == 0
-        files = sorted(f.name for f in tmp_path.iterdir())
-        assert len(files) == 6
-        assert "fig5_cosine_scan-45.csv" in files
-        assert "fig5_huygens_scan+0.csv" in files
-        for f in files:
-            s = read_sweep_csv(str(tmp_path / f))
-            assert len(s.entries) == 16
+        assert len(list(tmp_path.iterdir())) == 6
+        for element in ElementModel:
+            for scan in (0.0, -4.5, -45.0):
+                sweep = read_sweep_csv(str(tmp_path / f"fig5_{element.value}_scan{scan:+g}.csv"))
+                assert len(sweep.entries) == 16
+                fovs = [f for f in sweep.fov_deg if 3.0 <= f <= 165.0]
+                spec = ArraySpec(element=element, scan_angle_deg=scan)
+                ref = analytic_cap_cvrp(spec, 1.0, spec.beam_direction, fovs)
+                got = dict(sweep.entries)
+                errors = [abs(to_dbm(got[f]) - to_dbm(r)) for f, r in zip(fovs, ref)]
+                # The scan 0 beam sits on the pole, where node membership is
+                # worst: those sweeps read up to 0.22 dB off until caps weight
+                # each cell by the share of its solid angle inside.
+                bound_db = 0.25 if scan == 0.0 else 0.05
+                assert max(errors) <= bound_db, (element, scan, errors)
 
-    def test_repro_fig6_flags_default_fault(self, tmp_path, capsys):
-        code, out, _ = run(capsys, ["repro-fig6", "--scan", "-45",
-                                    "--outdir", str(tmp_path)])
+    @pytest.mark.parametrize("element, scan, fe, divergence_fov", [
+        ("cosine", "0", "14,7", None),
+        ("cosine", "0", "7", None),
+        ("cosine", "0", "8,7", None),
+        ("cosine", "-4.5", "14,7", None),
+        ("cosine", "-4.5", "7", None),
+        ("cosine", "-4.5", "8,7", None),
+        ("cosine", "-45", "14,7", 30),
+        ("cosine", "-45", "7", None),
+        ("cosine", "-45", "8,7", None),
+        ("huygens", "0", "14,7", 9),
+        ("huygens", "0", "7", None),
+        ("huygens", "0", "8,7", 6),
+        ("huygens", "-4.5", "14,7", 9),
+        ("huygens", "-4.5", "7", None),
+        ("huygens", "-4.5", "8,7", 6),
+        ("huygens", "-45", "14,7", 30),
+        ("huygens", "-45", "7", None),
+        ("huygens", "-45", "8,7", None),
+    ])
+    def test_repro_fig6_flags_default_fault(self, tmp_path, capsys, element, scan, fe,
+                                            divergence_fov):
+        code, out, _ = run(capsys, ["repro-fig6", "--element", element, "--scan", scan,
+                                    "--fe", fe, "--outdir", str(tmp_path)])
         assert code == 0
-        assert "FLAGGED" in out
+        if divergence_fov is None:
+            assert "not flagged at threshold 0.5 dB" in out
+        else:
+            assert f"FLAGGED at FoV {divergence_fov} deg" in out
+        tag = f"{element}_scan{float(scan):+g}"
         names = sorted(f.name for f in tmp_path.iterdir())
-        assert names == ["fig6_cosine_scan-45_all_on.csv",
-                         "fig6_cosine_scan-45_comparison.csv",
-                         "fig6_cosine_scan-45_fe.csv"]
+        assert names == [f"fig6_{tag}_all_on.csv", f"fig6_{tag}_comparison.csv",
+                         f"fig6_{tag}_fe.csv"]
 
 
 class TestDeterminism:

@@ -1,4 +1,5 @@
-"""The narrative demos run to completion with warnings as errors."""
+"""The narrative demos and README's quick start run to completion with
+warnings as errors."""
 
 import os
 import subprocess
@@ -17,3 +18,10 @@ def test_demo_runs(script):
     proc = subprocess.run([sys.executable, "-W", "error", str(ROOT / "demos" / script)],
                           capture_output=True, text=True, env=env, cwd=ROOT, timeout=120)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_readme_quick_start_runs():
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## Library quick start\n", 1)[1]
+    block = section.split("```python\n", 1)[1].split("```", 1)[0]
+    exec(compile(block, "README.md quick start", "exec"), {})

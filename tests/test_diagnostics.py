@@ -6,21 +6,16 @@ from cvrpkit import (
     ElementModel,
     compare_sweeps,
     cvrp_sweep,
-    rotate_about_y,
     synthesize_eirp,
     to_dbm,
 )
 from cvrpkit.diagnostics import DB_FLOOR, DEFAULT_THRESHOLD_DB
-from cvrpkit.grid import Direction
 
 
-def aligned_sweep(failed=frozenset(), scan=0.0, fovs=(180.0, 90.0, 30.0, 9.0, 0.0)):
+def beam_sweep(failed=frozenset(), scan=0.0, fovs=(180.0, 90.0, 30.0, 9.0, 0.0)):
     spec = ArraySpec(element=ElementModel.COSINE, scan_angle_deg=scan,
                      failed_elements=failed)
-    p = synthesize_eirp(spec, 1.0).pattern
-    if scan != 0.0:
-        p = rotate_about_y(p, -scan)
-    return cvrp_sweep(p, Direction(0.0, 0.0), fovs)
+    return cvrp_sweep(synthesize_eirp(spec, 1.0).pattern, spec.beam_direction, fovs)
 
 
 class TestToDbm:
@@ -39,7 +34,7 @@ class TestToDbm:
 
 class TestCompareSweeps:
     def test_self_comparison_clean(self):
-        s = aligned_sweep()
+        s = beam_sweep()
         cmp = compare_sweeps(s, s)
         assert cmp.max_abs_delta_db == 0.0
         assert not cmp.flagged
@@ -47,8 +42,8 @@ class TestCompareSweeps:
         assert cmp.threshold_db == DEFAULT_THRESHOLD_DB
 
     def test_antisymmetry(self):
-        ref = aligned_sweep()
-        test = aligned_sweep(failed=frozenset({7}))
+        ref = beam_sweep()
+        test = beam_sweep(failed=frozenset({7}))
         fwd = compare_sweeps(ref, test)
         rev = compare_sweeps(test, ref)
         for a, b in zip(fwd.delta_db, rev.delta_db):
@@ -65,8 +60,8 @@ class TestCompareSweeps:
         assert cmp.divergence_fov_deg == 90.0  # widest exceeding FoV reported
 
     def test_threshold_monotonicity(self):
-        ref = aligned_sweep(scan=-45.0)
-        test = aligned_sweep(failed=frozenset({14, 7}), scan=-45.0)
+        ref = beam_sweep(scan=-45.0)
+        test = beam_sweep(failed=frozenset({14, 7}), scan=-45.0)
         loose = compare_sweeps(ref, test, threshold_db=50.0)
         tight = compare_sweeps(ref, test, threshold_db=0.05)
         assert not loose.flagged

@@ -177,6 +177,12 @@ class TestCvrp:
             mc, se = mc_cap_mean(f, ct, cp, beta, 200_000, rng)
             assert abs(val - mc) <= 4.0 * se + 5e-4 * mc
 
+    def test_empty_window_names_window_and_grid(self, iso_pattern):
+        # only the zero-weight pole ring lies within theta 0..1
+        with pytest.raises(ValueError, match=r"^the window theta 0\.\.1, phi 10\.\.20 deg "
+                                             r"covers no grid cells .* on a 1\.5 x 1\.5 deg grid$"):
+            cvrp(iso_pattern, SphericalMask.window(0.0, 1.0, 10.0, 20.0))
+
     def test_point_equals_combined_eirp(self, cosine_boresight, rng):
         p = cosine_boresight.pattern
         for _ in range(20):
