@@ -4,8 +4,6 @@ Shows why fixed polar bands misread region-averaged power and how CVRP
 behaves at its two limits (full sphere and a single direction).
 """
 
-import numpy as np
-
 from cvrpkit import (
     ArraySpec,
     ElementModel,

@@ -17,7 +17,7 @@ from .arraysynth import (
     synthesize_eirp,
 )
 from .diagnostics import SweepComparison, compare_sweeps, to_dbm
-from .grid import AngularGrid, Convention, Direction
+from .grid import AngularGrid, Direction
 from .masks import SphericalMask
 from .metrics import (
     DEFAULT_FOV_SWEEP,

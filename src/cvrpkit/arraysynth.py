@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import FOUR_PI, AngularGrid, Convention, Direction
+from .grid import FOUR_PI, AngularGrid, Direction
 from .pattern import PolarizedPattern
 
 
@@ -148,9 +148,6 @@ def synthesize_directivity(spec: ArraySpec,
     quadrature of linear directivity equals 4*pi."""
     if grid is None:
         grid = AngularGrid.standard()
-    if grid.convention is not Convention.STANDARD:
-        raise ValueError(f"array synthesis requires a standard-convention grid, "
-                         f"not a {grid.convention.value} one")
     intensity = _radiation_intensity(spec, grid)
     total = grid.integrate(intensity.sum(axis=1))
     d_lin = FOUR_PI * intensity / total

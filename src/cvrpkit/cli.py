@@ -15,7 +15,7 @@ import sys
 
 from . import arraysynth, diagnostics, metrics, pattern, patternio
 from .arraysynth import ArraySpec, ElementModel
-from .grid import AngularGrid, Convention, Direction
+from .grid import AngularGrid, Direction
 from .masks import SphericalMask
 from .metrics import DEFAULT_FOV_SWEEP
 
@@ -41,15 +41,6 @@ def _print_power(name: str, mw: float) -> None:
     # round before printing so values a hair below zero do not show "-0.0000"
     dbm = round(diagnostics.to_dbm(mw), 4) + 0.0
     print(f"{name}: {dbm:.4f} dBm ({round(mw, 4) + 0.0:.4f} mW)")
-
-
-def _read_standard(path: str) -> pattern.PolarizedPattern:
-    """Read a pattern file for a command that needs the standard convention."""
-    p = patternio.read_pattern(path)
-    if p.grid.convention is not Convention.STANDARD:
-        raise ValueError(f"{path}: distributed-convention pattern; "
-                         f"run 'cvrpkit remap' on it first")
-    return p
 
 
 def _spec_from_args(args) -> ArraySpec:
@@ -84,8 +75,7 @@ def _cmd_synth(args) -> int:
 
 
 def _cmd_remap(args) -> int:
-    p = patternio.read_pattern(args.input)
-    patternio.write_pattern(pattern.remap_to_standard(p), args.output)
+    patternio.write_pattern(patternio.read_pattern(args.input), args.output)
     print(f"wrote {args.output}")
     return 0
 
@@ -99,19 +89,19 @@ def _cmd_fill(args) -> int:
 
 
 def _cmd_rotate(args) -> int:
-    out = pattern.rotate_about_y(_read_standard(args.input), args.about_y)
+    out = pattern.rotate_about_y(patternio.read_pattern(args.input), args.about_y)
     patternio.write_pattern(out, args.output)
     print(f"wrote {args.output}")
     return 0
 
 
 def _cmd_trp(args) -> int:
-    _print_power("TRP", metrics.trp(_read_standard(args.input)))
+    _print_power("TRP", metrics.trp(patternio.read_pattern(args.input)))
     return 0
 
 
 def _cmd_prp(args) -> int:
-    p = _read_standard(args.input)
+    p = patternio.read_pattern(args.input)
     if args.preset:
         value = metrics.prp_preset(p, args.preset)
         name = f"PRP[{args.preset}]"
@@ -125,7 +115,7 @@ def _cmd_prp(args) -> int:
 
 
 def _cmd_cvrp(args) -> int:
-    p = _read_standard(args.input)
+    p = patternio.read_pattern(args.input)
     chosen = [x for x in (args.cap, args.window, args.point) if x is not None]
     if len(chosen) != 1:
         raise ValueError("choose exactly one of --cap, --window, --point")
@@ -148,7 +138,7 @@ def _cmd_cvrp(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    p = _read_standard(args.input)
+    p = patternio.read_pattern(args.input)
     center = _parse_direction(args.center)
     fovs = _parse_float_list(args.fovs) if args.fovs else DEFAULT_FOV_SWEEP
     sweep = metrics.cvrp_sweep(p, center, fovs)
@@ -250,7 +240,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("-o", "--output", required=True)
     sp.set_defaults(func=_cmd_synth)
 
-    sp = sub.add_parser("remap", help="distributed-axes to standard grid")
+    sp = sub.add_parser("remap", help="convert a distributed or standard pattern file to standard")
     sp.add_argument("input")
     sp.add_argument("-o", "--output", required=True)
     sp.set_defaults(func=_cmd_remap)

@@ -1,15 +1,11 @@
 """Spherical sampling grids and directions.
 
-A grid is always the full sphere of its steps, in one of two axis
-conventions:
+A grid is always the full sphere of its steps: theta 0..180 and phi
+0..360-dphi, with steps that divide 180 and 360 degrees. Roll-over
+turntable ("distributed") axes exist only in files; patternio places
+their rows on this grid as it reads them.
 
-* standard: theta 0..180 and phi 0..360-dphi, with steps that divide
-  180 and 360 degrees
-* distributed: roll-over-turntable axes, theta -180..180-dtheta and
-  phi 0..180, with both steps dividing 180 degrees; only remapping
-  reads these
-
-Every metric is one quadrature on a standard grid's nodes: numpy sums
+Every metric is one quadrature on a grid's nodes: numpy sums
 the integrand along phi within each theta ring, and one math.fsum reduces
 the ring sums weighted by sin(theta) (exactly 0 on the pole rings) and
 scaled by the cell solid angle dOmega.
@@ -17,7 +13,6 @@ scaled by the cell solid angle dOmega.
 
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass, field
 
@@ -30,20 +25,14 @@ FOUR_PI = 4.0 * math.pi
 _MAX_CELLS = 2 ** 25
 
 
-class Convention(enum.Enum):
-    STANDARD = "standard"
-    DISTRIBUTED = "distributed"
-
-
 @dataclass(frozen=True)
 class AngularGrid:
     """Equispaced theta/phi sample axes in degrees, derived from the steps:
-    the full sphere of the steps in the convention (see the module
-    docstring). Grids compare and hash by steps and convention."""
+    the full sphere of the steps (see the module docstring). Grids compare
+    and hash by steps."""
 
     dtheta_deg: float
     dphi_deg: float
-    convention: Convention = Convention.STANDARD
     theta_deg: np.ndarray = field(init=False, repr=False, compare=False)
     phi_deg: np.ndarray = field(init=False, repr=False, compare=False)
     _ring_weights: np.ndarray = field(init=False, repr=False, compare=False)
@@ -53,26 +42,21 @@ class AngularGrid:
         if not (0 < dtheta_deg < np.inf and 0 < dphi_deg < np.inf):  # NaN fails too
             raise ValueError(f"grid steps must be positive and finite "
                              f"(dtheta_deg={dtheta_deg:g}, dphi_deg={dphi_deg:g})")
-        standard = self.convention is Convention.STANDARD
-        phi_span = 360.0 if standard else 180.0
-        n_t, n_p = 180.0 / dtheta_deg, phi_span / dphi_deg
-        cells = (n_t + 1) * n_p if standard else 2 * n_t * (n_p + 1)
+        n_t, n_p = 180.0 / dtheta_deg, 360.0 / dphi_deg
+        cells = (n_t + 1) * n_p
         if not cells <= _MAX_CELLS:  # before anything is rounded or allocated
             raise ValueError(f"a {dtheta_deg:g} x {dphi_deg:g} deg grid has {cells:.0f} cells, "
                              f"more than the limit of {_MAX_CELLS}")
         n_t, n_p = round(n_t), round(n_p)
         if abs(n_t * dtheta_deg - 180.0) > ANGLE_TOL_DEG:
             raise ValueError(f"dtheta_deg={dtheta_deg:g} must divide 180 degrees")
-        if abs(n_p * dphi_deg - phi_span) > ANGLE_TOL_DEG:
-            raise ValueError(f"dphi_deg={dphi_deg:g} must divide {phi_span:g} degrees")
-        if standard:
-            if n_p < 2:
-                raise ValueError("phi axis needs at least two samples")
-            theta, phi = np.arange(n_t + 1) * dtheta_deg, np.arange(n_p) * dphi_deg
-        else:
-            theta, phi = np.arange(2 * n_t) * dtheta_deg - 180.0, np.arange(n_p + 1) * dphi_deg
+        if abs(n_p * dphi_deg - 360.0) > ANGLE_TOL_DEG:
+            raise ValueError(f"dphi_deg={dphi_deg:g} must divide 360 degrees")
+        if n_p < 2:
+            raise ValueError("phi axis needs at least two samples")
+        theta, phi = np.arange(n_t + 1) * dtheta_deg, np.arange(n_p) * dphi_deg
         s = np.sin(np.radians(theta))
-        s[[0, -1]] = 0.0  # the pole rings of a standard grid
+        s[[0, -1]] = 0.0  # the pole rings
         for name, axis in (("theta_deg", theta), ("phi_deg", phi), ("_ring_weights", s)):
             axis.flags.writeable = False
             object.__setattr__(self, name, axis)
@@ -93,15 +77,14 @@ class AngularGrid:
     def integrate(self, ring_sums) -> float:
         """The grid quadrature (see the module docstring) of a field given
         its per-ring sums along phi."""
-        if self.convention is not Convention.STANDARD:
-            raise ValueError("the quadrature needs a standard-convention grid")
         domega = math.radians(self.dtheta_deg) * math.radians(self.dphi_deg)
         return domega * math.fsum((self._ring_weights * ring_sums).tolist())
 
 
 @dataclass(frozen=True)
 class Direction:
-    """Observation direction, normalized to the standard convention."""
+    """Observation direction, normalized to theta in [0, 180] and phi in
+    [0, 360) degrees."""
 
     theta_deg: float
     phi_deg: float

@@ -13,7 +13,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .grid import ANGLE_TOL_DEG, AngularGrid, Convention, Direction, angular_distance_deg
+from .grid import ANGLE_TOL_DEG, AngularGrid, Direction, angular_distance_deg
 
 
 class MaskKind(enum.Enum):
@@ -89,9 +89,7 @@ def _cap_distance_deg(center: Direction, grid: AngularGrid) -> np.ndarray:
 
 
 def membership(m: SphericalMask, grid: AngularGrid) -> np.ndarray:
-    """Boolean node-center membership matrix on a standard grid."""
-    if grid.convention is not Convention.STANDARD:
-        raise ValueError("masks operate on standard-convention grids")
+    """Boolean node-center membership matrix on a grid."""
     if m.kind is MaskKind.CAP:
         return _cap_distance_deg(m.center, grid) <= m.half_angle_deg + ANGLE_TOL_DEG
     # A window is separable: test theta on the theta axis, phi on the phi axis.

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import ANGLE_TOL_DEG, FOUR_PI, AngularGrid, Convention, Direction
+from .grid import ANGLE_TOL_DEG, FOUR_PI, AngularGrid, Direction
 from .masks import MaskKind, SphericalMask, _cap_distance_deg, membership
 from .pattern import PolarizedPattern, sample_bilinear
 
@@ -32,7 +32,10 @@ PRP_PRESETS = {
 
 
 def _check_fovs(fovs: list[float]) -> None:
-    """The sweep FoV rule: half-angles strictly decreasing, within [0, 180] deg."""
+    """The sweep FoV rule: one or more half-angles, strictly decreasing,
+    within [0, 180] deg."""
+    if not fovs:
+        raise ValueError("a sweep needs at least one FoV")
     if not all(0.0 <= f <= 180.0 for f in fovs):  # NaN fails too
         raise ValueError("sweep FoVs must lie in [0, 180] degrees")
     if any(b >= a for a, b in zip(fovs, fovs[1:])):
@@ -60,11 +63,6 @@ class CvrpSweep:
     @property
     def cvrp_mw(self) -> tuple[float, ...]:
         return tuple(v for _, v in self.entries)
-
-
-def _require_standard(p: PolarizedPattern) -> None:
-    if p.grid.convention is not Convention.STANDARD:
-        raise ValueError("metrics require a standard-convention pattern")
 
 
 def _area_fraction(member: np.ndarray, grid: AngularGrid) -> float:
@@ -111,13 +109,11 @@ def cvrp(p: PolarizedPattern, m: SphericalMask) -> float:
     A full-sphere mask reproduces trp(p) exactly; the point FoV is
     cvrp_point.
     """
-    _require_standard(p)
     return _masked_cvrp(p.grid, p.total_mw, membership(m, p.grid), m)
 
 
 def trp(p: PolarizedPattern) -> float:
     """Total radiated power (mW): full-sphere Riemann sum over 4*pi."""
-    _require_standard(p)
     return p.grid.integrate(p.total_mw.sum(axis=1)) / FOUR_PI
 
 
@@ -128,7 +124,6 @@ def prp(p: PolarizedPattern, theta1_deg: float, theta2_deg: float) -> float:
     cell inside the band, so band integrals match their analytic values
     to O(step^2).
     """
-    _require_standard(p)
     if not (0.0 <= theta1_deg < theta2_deg <= 180.0):
         raise ValueError("need 0 <= theta1 < theta2 <= 180 degrees")
     g = p.grid
@@ -159,7 +154,6 @@ def cvrp_sweep(p: PolarizedPattern, center: Direction,
     """CVRP over a list of cap half-angles (0 means the point FoV).
 
     Cap distances and the total power are computed once for all FoVs."""
-    _require_standard(p)
     fovs = [float(f) for f in half_angles_deg]
     _check_fovs(fovs)
     dist = _cap_distance_deg(center, p.grid)

@@ -1,7 +1,9 @@
-"""Polarized EIRP patterns: remapping, filling, sampling, rotation.
+"""Polarized EIRP patterns: filling, sampling, rotation.
 
 All power values are linear (mW). Interpolation is bilinear in (theta, phi)
-over linear power; dB conversion happens only at I/O boundaries.
+over linear power; dB conversion happens only at I/O boundaries. A pattern
+is always on the standard grid of its steps: roll-over ("distributed")
+axes are a file layout, which patternio.read_pattern places on that grid.
 """
 
 from __future__ import annotations
@@ -11,9 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import ANGLE_TOL_DEG, AngularGrid, Convention, Direction
-
-_REL_TOL = 1e-9
+from .grid import ANGLE_TOL_DEG, AngularGrid, Direction
 
 
 @dataclass(frozen=True)
@@ -57,11 +57,6 @@ class PolarizedPattern:
     def total_mw(self) -> np.ndarray:
         return self.eirp_theta_mw + self.eirp_phi_mw
 
-    def measured_mask(self) -> np.ndarray:
-        if self.measured is None:
-            return np.ones((self.grid.n_theta, self.grid.n_phi), dtype=bool)
-        return self.measured.copy()
-
 
 def isotropic(eirp_mw: float = 1.0, grid: AngularGrid | None = None,
               frequency_hz: float = 28e9, label: str = "isotropic") -> PolarizedPattern:
@@ -72,62 +67,11 @@ def isotropic(eirp_mw: float = 1.0, grid: AngularGrid | None = None,
     return PolarizedPattern(grid, half, half.copy(), frequency_hz, label)
 
 
-def _rel_diff(a, b):
-    scale = np.maximum(np.maximum(np.abs(a), np.abs(b)), 1e-300)
-    return np.abs(a - b) / scale
-
-
 def remap_to_standard(p: PolarizedPattern) -> PolarizedPattern:
-    """Remap a distributed-axes pattern onto the standard grid of its steps.
-
-    A sample at distributed (theta < 0, phi) lands at standard
-    (-theta, phi + 180); non-negative theta samples land unchanged. Both
-    grids are the full sphere of the same steps, so distributed row i
-    lands on standard row |i - 180/dtheta|, and column j on j, or on
-    (j + n_phi/2) mod n_phi for rows behind the pole.
-    Directions never measured stay zero-filled and flagged unmeasured.
-    Samples landing on one standard cell must agree to a relative 1e-9;
-    the first in row-major source order is kept.
-    """
-    g = p.grid
-    if g.convention is not Convention.DISTRIBUTED:
-        raise ValueError("remap_to_standard expects a distributed-axes pattern")
-    dt, dp = g.dtheta_deg, g.dphi_deg
-    out_grid = AngularGrid.standard(dt, dp)
-    n_t, n_p = out_grid.n_theta, out_grid.n_phi
-
-    rows, cols = np.nonzero(p.measured_mask())  # measured cells, row-major
-    back = rows < n_t - 1  # theta < 0
-    target = np.abs(rows - (n_t - 1)) * n_p + (cols + back * (n_p // 2)) % n_p
-    vt = p.eirp_theta_mw[rows, cols]
-    vp = p.eirp_phi_mw[rows, cols]
-    cells, first, group = np.unique(target, return_index=True, return_inverse=True)
-    clash = ((_rel_diff(vt[first][group], vt) > _REL_TOL)
-             | (_rel_diff(vp[first][group], vp) > _REL_TOL))
-    if clash.any():
-        i, j = divmod(int(target[clash.argmax()]), n_p)
-        raise ValueError(f"conflicting duplicate samples at standard "
-                         f"(theta={i * dt}, phi={j * dp}) deg")
-    et = np.zeros((n_t, n_p))
-    ep = np.zeros((n_t, n_p))
-    meas = np.zeros((n_t, n_p), dtype=bool)
-    et.flat[cells] = vt[first]
-    ep.flat[cells] = vp[first]
-    meas.flat[cells] = True
-
-    # Poles are single physical directions: broadcast across phi.
-    for i in (0, n_t - 1):
-        pole_cols = np.flatnonzero(meas[i])
-        if pole_cols.size == 0:
-            continue
-        for arr in (et, ep):
-            ref = arr[i, pole_cols[0]]
-            if (_rel_diff(arr[i, pole_cols], ref) > _REL_TOL).any():
-                raise ValueError(f"conflicting duplicate samples at pole theta={i * dt} deg")
-            arr[i, :] = ref
-        meas[i, :] = True
-
-    return PolarizedPattern(out_grid, et, ep, p.frequency_hz, p.label, meas)
+    """Return p unchanged: every pattern is already on the standard grid,
+    because read_pattern places a roll-over file's rows there as it reads
+    them. Kept so that remap_to_standard(read_pattern(path)) still works."""
+    return p
 
 
 def fill_unmeasured(p: PolarizedPattern, fill_mw: float = 0.0) -> PolarizedPattern:
@@ -164,7 +108,7 @@ def _axis_nodes(q, step: float, n: int, wrap: bool):
 
 
 def _sample(grid: AngularGrid, theta_deg, phi_deg, *fields) -> tuple[np.ndarray, ...]:
-    """Vectorized bilinear samples of each field on a standard grid; the
+    """Vectorized bilinear samples of each field on a grid; the
     bracketing nodes and fractions are computed once for all of them."""
     i0, i1, ft = _axis_nodes(theta_deg, grid.dtheta_deg, grid.n_theta, wrap=False)
     j0, j1, fp = _axis_nodes(phi_deg, grid.dphi_deg, grid.n_phi, wrap=True)
@@ -179,8 +123,6 @@ def sample_bilinear(p: PolarizedPattern, d: Direction) -> tuple[float, float]:
     Exact grid-node queries (within 1e-9 deg) return stored values; phi
     wraps modulo 360.
     """
-    if p.grid.convention is not Convention.STANDARD:
-        raise ValueError("sample_bilinear expects a standard-convention pattern")
     et, ep = _sample(p.grid, [d.theta_deg], [d.phi_deg], p.eirp_theta_mw, p.eirp_phi_mw)
     return float(et[0]), float(ep[0])
 
@@ -195,8 +137,6 @@ def rotate_about_y(p: PolarizedPattern, alpha_deg: float) -> PolarizedPattern:
     """
     if not math.isfinite(alpha_deg):
         raise ValueError(f"rotation angle alpha_deg must be finite, got {alpha_deg:g}")
-    if p.grid.convention is not Convention.STANDARD:
-        raise ValueError("rotate_about_y expects a standard-convention pattern")
     if alpha_deg == 0.0:
         return p
     g = p.grid

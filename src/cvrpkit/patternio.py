@@ -8,9 +8,12 @@ header are skipped, and a bad row is reported as "path:line: ...".
 Pattern files have a ``theta_deg,phi_deg,eirp_theta_dbm,eirp_phi_dbm``
 header and one row per grid cell in theta-major ascending order. Power is
 written in dBm with 12 significant digits; zero linear power is written as
-"-inf". The writer emits every cell, measured or not. A file of either
-convention is read onto the full-sphere grid of its steps, and the cells
-it leaves out are marked unmeasured.
+"-inf". The writer emits every cell, measured or not, in the standard
+convention. The reader also takes the distributed convention of
+roll-over-turntable measurements, theta -180..180-dtheta and phi 0..180,
+which is a file convention only: its rows are placed on the standard grid
+of their steps as they are read. Either way, the directions a file leaves
+out are marked unmeasured.
 """
 
 from __future__ import annotations
@@ -24,11 +27,14 @@ from collections.abc import Callable, Iterable
 import numpy as np
 
 from .diagnostics import SweepComparison
-from .grid import ANGLE_TOL_DEG, AngularGrid, Convention
+from .grid import ANGLE_TOL_DEG, AngularGrid
 from .metrics import CvrpSweep
 from .pattern import PolarizedPattern
 
 FORMAT_VERSION = "cvrp-pattern/1"
+
+# Two samples of one direction in a distributed file agree to this relative tolerance.
+_REL_TOL = 1e-9
 
 _HEADER = "theta_deg,phi_deg,eirp_theta_dbm,eirp_phi_dbm"
 _SWEEP_HEADER = "fov_deg,cvrp_dbm"
@@ -162,7 +168,7 @@ def write_pattern(p: PolarizedPattern, path: str) -> None:
     meta = {
         "format_version": FORMAT_VERSION,
         "frequency_hz": _fmt(p.frequency_hz),
-        "convention": g.convention.value,
+        "convention": "standard",
         "dtheta_deg": _fmt(g.dtheta_deg),
         "dphi_deg": _fmt(g.dphi_deg),
     }
@@ -177,21 +183,25 @@ def write_pattern(p: PolarizedPattern, path: str) -> None:
 
 
 def read_pattern(path: str) -> PolarizedPattern:
-    """Read a pattern file onto the full-sphere grid of its steps and
-    convention; absent (theta, phi) cells are unmeasured.
+    """Read a pattern file onto the standard grid of its steps; directions
+    the file leaves out are unmeasured.
 
     Metadata lines precede the column header. The body is parsed in bulk;
-    a row that fails a check is reported as "path:lineno: ...".
+    a row that fails a check is reported as "path:lineno: ...". A
+    distributed file's phi step must divide 180 degrees. Its rows are
+    placed at the standard cells of their directions: rows of one
+    direction must agree to a relative 1e-9, the first in theta-major
+    order on the distributed axes is kept, and a pole ring takes the
+    sample of its first measured column.
     """
     meta, rows, row_error = _read_table(path, _HEADER)
     version = meta.get("format_version")
     if version != FORMAT_VERSION:
         raise ValueError(f"{path}: unknown format version {version!r}")
-    conv_name = meta.get("convention", "standard")
-    try:
-        convention = Convention(conv_name)
-    except ValueError:
-        raise ValueError(f"{path}: unknown convention {conv_name!r}") from None
+    convention = meta.get("convention", "standard")
+    if convention not in ("standard", "distributed"):
+        raise ValueError(f"{path}: unknown convention {convention!r}")
+    distributed = convention == "distributed"
     try:
         dtheta = float(meta["dtheta_deg"])
         dphi = float(meta["dphi_deg"])
@@ -203,35 +213,76 @@ def read_pattern(path: str) -> PolarizedPattern:
     if not rows.size:
         raise ValueError(f"{path}: file contains no samples")
     try:
-        grid = AngularGrid(dtheta, dphi, convention)
+        grid = AngularGrid(dtheta, dphi)
+        if distributed and grid.n_phi % 2:
+            raise ValueError(f"dphi_deg={dphi:g} must divide 180 degrees")
         et, ep = np.zeros((2, grid.n_theta, grid.n_phi))
         meas = np.zeros(et.shape, dtype=bool)
     except (ValueError, MemoryError) as exc:  # MemoryError: a grid too large to hold
         raise ValueError(f"{path}: {exc}") from None
-    i = _node_indices(rows[:, 0], grid.theta_deg, dtheta, "theta", row_error)
-    j = _node_indices(rows[:, 1], grid.phi_deg, dphi, "phi", row_error)
-    cells = i * grid.n_phi + j
-    meas.flat[cells] = True
-    if np.count_nonzero(meas) < cells.size:
-        _, first = np.unique(cells, return_index=True)
-        k = int(np.setdiff1d(np.arange(cells.size), first)[0])
+    n_t, n_p = grid.n_theta, grid.n_phi
+    # The file's axes; distributed ones are theta -180..180-dtheta, phi 0..180.
+    theta0, n_i, n_j = (-180.0, 2 * n_t - 2, n_p // 2 + 1) if distributed else (0.0, n_t, n_p)
+    i = _node_indices(rows[:, 0], theta0, n_i, dtheta, "theta", row_error)
+    j = _node_indices(rows[:, 1], 0.0, n_j, dphi, "phi", row_error)
+    source = i * n_j + j  # the row's cell on the file's axes
+    seen = np.zeros(n_i * n_j, dtype=bool)
+    seen[source] = True
+    if np.count_nonzero(seen) < source.size:
+        _, first = np.unique(source, return_index=True)
+        k = int(np.setdiff1d(np.arange(source.size), first)[0])
         raise row_error(k, f"duplicate sample at theta={float(rows[k, 0])}, "
                            f"phi={float(rows[k, 1])}")
+    if distributed:
+        # Distributed row i is standard row |i - 180/dtheta|, and behind the
+        # pole (theta < 0) column j is standard column j + n_phi/2.
+        back = i < n_t - 1
+        i, j = np.abs(i - (n_t - 1)), (j + back * (n_p // 2)) % n_p
+    cells = i * n_p + j
+    meas.flat[cells] = True
     et.flat[cells] = rows[:, 2]
     ep.flat[cells] = rows[:, 3]
+    if distributed:
+        # Rows behind the pole come first in theta-major order on the distributed
+        # axes; writing them again keeps the first of two rows of one cell.
+        et.flat[cells[back]] = rows[back, 2]
+        ep.flat[cells[back]] = rows[back, 3]
+        for r in (0, n_t - 1):  # a pole is one direction: its first column fills the ring
+            if meas[r].any():
+                c = meas[r].argmax()
+                et[r], ep[r], meas[r] = et[r, c], ep[r, c], True
+        _check_kept(grid, et, ep, rows, cells, row_error)
     return PolarizedPattern(grid, et, ep, frequency, meta.get("label", ""), meas)
 
 
-def _node_indices(values: np.ndarray, axis: np.ndarray, step: float, name: str,
+def _check_kept(grid: AngularGrid, et: np.ndarray, ep: np.ndarray, rows: np.ndarray,
+                cells: np.ndarray, row_error: _RowError) -> None:
+    """Raise the error of the first row whose powers differ by more than a
+    relative 1e-9 from those kept at its standard cell."""
+    clash = np.zeros(len(rows), dtype=bool)
+    for kept, col in ((et, 2), (ep, 3)):
+        a, b = kept.flat[cells], rows[:, col]
+        # Powers are non-negative, so the larger of the two is the scale.
+        clash |= np.abs(a - b) / np.maximum(np.maximum(a, b), 1e-300) > _REL_TOL
+    if clash.any():
+        k = int(clash.argmax())
+        r, c = divmod(int(cells[k]), grid.n_phi)
+        theta = r * grid.dtheta_deg
+        at = (f"pole theta={theta}" if r in (0, grid.n_theta - 1)
+              else f"(theta={theta}, phi={c * grid.dphi_deg})")
+        raise row_error(k, f"conflicting duplicate samples at {at} deg")
+
+
+def _node_indices(values: np.ndarray, lo: float, n: int, step: float, name: str,
                   row_error: _RowError) -> np.ndarray:
-    """Each value's index on an equispaced axis; an off-axis value raises
-    the error of its row."""
-    lo = axis[0]
+    """Each value's index on the axis lo, lo + step, ..., lo + (n - 1) * step;
+    an off-axis value raises the error of its row."""
     k = np.rint((values - lo) / step)
-    off = (np.abs(lo + k * step - values) > ANGLE_TOL_DEG) | (k < 0) | (k >= axis.size)
+    off = (np.abs(lo + k * step - values) > ANGLE_TOL_DEG) | (k < 0) | (k >= n)
     if off.any():
         r = int(off.argmax())
-        raise row_error(r, f"{name}={float(values[r])} lies outside [{lo:g}, {axis[-1]:g}] "
+        raise row_error(r, f"{name}={float(values[r])} lies outside "
+                           f"[{lo:g}, {lo + (n - 1) * step:g}] "
                            f"or is inconsistent with step {step}")
     return k.astype(np.intp)
 

@@ -3,7 +3,8 @@
 Everything here is deliberately written without reusing the library's
 integration paths: unit-vector geometry, closed-form array patterns,
 direct-sum array factors, fine-grid quadrature, Monte-Carlo cap
-integration, full-grid mask tests and smooth random pattern generators.
+integration, full-grid mask tests, smooth random pattern generators and
+a writer of distributed-axes pattern files.
 """
 
 from __future__ import annotations
@@ -266,9 +267,46 @@ def rotated_measured_reference(p: PolarizedPattern, alpha_deg: float) -> np.ndar
     measured or has a bilinear weight of exactly zero."""
     g = p.grid
     i0, i1, ft, j0, j1, fp = bilinear_nodes_reference(g, *_rotation_sources(g, alpha_deg))
-    src = p.measured_mask()
+    src = np.ones((g.n_theta, g.n_phi), dtype=bool) if p.measured is None else p.measured
     out = np.ones(i0.shape, dtype=bool)
     for i, wi in ((i0, 1 - ft), (i1, ft)):
         for j, wj in ((j0, 1 - fp), (j1, fp)):
             out &= src[i, j] | (wi * wj == 0.0)
     return out.reshape(src.shape)
+
+
+def distributed_axes(dtheta_deg: float, dphi_deg: float) -> tuple[np.ndarray, np.ndarray]:
+    """The theta (-180..180-dtheta) and phi (0..180) axes of distributed
+    (roll-over turntable) pattern files."""
+    n_t, n_p = round(180.0 / dtheta_deg), round(180.0 / dphi_deg)
+    return np.arange(2 * n_t) * dtheta_deg - 180.0, np.arange(n_p + 1) * dphi_deg
+
+
+def write_distributed(path, dtheta_deg: float, dphi_deg: float, et: np.ndarray,
+                      ep: np.ndarray, measured: np.ndarray | None = None,
+                      rng: np.random.Generator | None = None, label: str = "dist"):
+    """Write mW arrays on the distributed axes as a distributed pattern
+    file, one row per measured cell, theta-major or shuffled by rng.
+
+    Returns the arrays as a reader parses the file's dBm text (unlisted
+    cells 0) and the file line number of each listed cell (i, j)."""
+    theta, phi = distributed_axes(dtheta_deg, dphi_deg)
+    if measured is None:
+        measured = np.ones(et.shape, dtype=bool)
+    cells = list(zip(*map(np.ndarray.tolist, np.nonzero(measured))))
+    if rng is not None:
+        rng.shuffle(cells)
+    head = ["# format_version: cvrp-pattern/1", "# convention: distributed",
+            f"# dtheta_deg: {dtheta_deg!r}", f"# dphi_deg: {dphi_deg!r}", f"# label: {label}",
+            "theta_deg,phi_deg,eirp_theta_dbm,eirp_phi_dbm"]
+    read = np.zeros((2,) + et.shape)
+    body, lines = [], {}
+    for (i, j) in cells:
+        dbm = ["-inf" if v <= 0 else format(10.0 * math.log10(v), ".12g")
+               for v in (et[i, j], ep[i, j])]
+        read[:, i, j] = [10.0 ** (float(x) / 10.0) for x in dbm]
+        lines[i, j] = len(head) + len(body) + 1
+        body.append(f"{float(theta[i])!r},{float(phi[j])!r},{dbm[0]},{dbm[1]}")
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("\n".join(head + body) + "\n")
+    return read[0], read[1], lines

@@ -14,7 +14,7 @@ from cvrpkit import (
     trp,
 )
 from cvrpkit.arraysynth import _radiation_intensity
-from cvrpkit.grid import AngularGrid, Convention
+from cvrpkit.grid import AngularGrid
 
 from oracles import cosine_array_intensity, direct_sum_intensity, fine_grid_quadrature
 
@@ -188,15 +188,6 @@ class TestDirectivity:
                          failed_elements={1, 2})
         with pytest.raises(ValueError, match="all elements failed"):
             synthesize_directivity(spec)
-
-    @pytest.mark.parametrize("synthesize", [synthesize_directivity,
-                                            lambda spec, grid: synthesize_eirp(spec, 1.0, grid)])
-    def test_distributed_grid_rejected(self, synthesize):
-        # sin(theta) quadrature weights are negative behind the pole there
-        grid = AngularGrid(15.0, 15.0, Convention.DISTRIBUTED)
-        with pytest.raises(ValueError, match="requires a standard-convention grid, "
-                                             "not a distributed one"):
-            synthesize(ArraySpec(element=ElementModel.COSINE), grid)
 
     @pytest.mark.parametrize("rows, cols, step, failed", [
         (2, 8, 1.5, {7, 14}),

@@ -25,7 +25,7 @@ from cvrpkit import (
 from cvrpkit.cli import cli_main
 from cvrpkit.grid import Direction
 
-from oracles import analytic_cap_cvrp
+from oracles import analytic_cap_cvrp, distributed_axes, write_distributed
 
 
 @pytest.fixture(scope="module")
@@ -184,24 +184,74 @@ class TestScalarCommands:
         assert code == 1
         assert "error:" in err
 
+
+def blind_box_file(path):
+    """A distributed 15 deg isotropic 1 mW file without the rows of theta
+    30..60 and phi 60..90 deg."""
+    theta, phi = distributed_axes(15.0, 15.0)
+    tt, pp = np.meshgrid(theta, phi, indexing="ij")
+    half = np.full(tt.shape, 0.5)
+    blind = (tt >= 30.0) & (tt <= 60.0) & (pp >= 60.0) & (pp <= 90.0)
+    write_distributed(str(path), 15.0, 15.0, half, half, ~blind)
+    return str(path)
+
+
+class TestDistributedFiles:
     @pytest.mark.parametrize("argv", [
         ["trp", "{dist}"],
         ["prp", "{dist}", "--preset", "uhrp"],
-        ["cvrp", "{dist}", "--cap", "30"],
-        ["sweep", "{dist}", "-o", "{out}"],
+        ["cvrp", "{dist}", "--cap", "30", "--center", "45,180"],
+        ["sweep", "{dist}", "--center", "45,180", "--fovs", "180,90,45,0", "-o", "{out}"],
         ["rotate", "{dist}", "--about-y", "10", "-o", "{out}"],
     ], ids=["trp", "prp", "cvrp", "sweep", "rotate"])
-    def test_distributed_file_names_path_and_remap(self, tmp_path, capsys, argv):
+    def test_command_reads_distributed_file_as_its_remap(self, tmp_path, capsys, argv):
+        # each command prints and writes what it does on the remapped file
+        dist = blind_box_file(tmp_path / "dist.csv")
+        std = str(tmp_path / "std.csv")
+        assert run(capsys, ["remap", dist, "-o", std])[0] == 0
+        outputs = []
+        for path in (dist, std):
+            out = tmp_path / "out.csv"
+            code, stdout, err = run(capsys, [a.format(dist=path, out=out) for a in argv])
+            assert code == 0 and err == ""
+            outputs.append((stdout, out.read_bytes() if out.exists() else None))
+        assert outputs[0] == outputs[1]
+
+    def test_trp_equals_remap_then_trp_bitwise(self, tmp_path, capsys):
+        dist = blind_box_file(tmp_path / "dist.csv")
+        std = str(tmp_path / "std.csv")
+        assert run(capsys, ["remap", dist, "-o", std])[0] == 0
+        assert trp(read_pattern(dist)) == trp(read_pattern(std))
+
+    def test_fill_keeps_blind_cells_of_distributed_file(self, tmp_path, capsys):
+        # fill reads the blind box as unmeasured, so it fills it
+        dist = blind_box_file(tmp_path / "dist.csv")
+        filled = str(tmp_path / "filled.csv")
+        assert run(capsys, ["fill", dist, "--fill-mw", "1", "-o", filled])[0] == 0
+        want = trp(fill_unmeasured(read_pattern(dist), 1.0))
+        assert trp(read_pattern(filled)) == want
+        code, out, _ = run(capsys, ["trp", filled])
+        assert code == 0 and out == fmt_power("TRP", want) + "\n"
+        assert "(1.0282 mW)" in out
+
+    def test_remap_of_standard_file_is_byte_identical(self, tmp_path, capsys):
+        dist = blind_box_file(tmp_path / "dist.csv")
+        once, twice = str(tmp_path / "once.csv"), str(tmp_path / "twice.csv")
+        assert run(capsys, ["remap", dist, "-o", once])[0] == 0
+        assert run(capsys, ["remap", once, "-o", twice])[0] == 0
+        assert Path(once).read_bytes() == Path(twice).read_bytes()
+
+    def test_conflicting_duplicate_names_path_and_line(self, tmp_path, capsys):
+        # distributed (-30, 0) and (30, 180) are one direction; the later row conflicts
         dist = tmp_path / "dist.csv"
-        dist.write_text("# format_version: cvrp-pattern/1\n# convention: distributed\n"
-                        "# dtheta_deg: 90\n# dphi_deg: 180\n"
-                        "theta_deg,phi_deg,eirp_theta_dbm,eirp_phi_dbm\n0,0,0,0\n",
-                        encoding="utf-8")
-        out = tmp_path / "out.csv"
-        code, stdout, err = run(capsys, [a.format(dist=dist, out=out) for a in argv])
-        assert code == 1 and stdout == "" and not out.exists()
-        assert err == (f"error: {dist}: distributed-convention pattern; "
-                       f"run 'cvrpkit remap' on it first\n")
+        lines = Path(blind_box_file(dist)).read_text(encoding="utf-8").splitlines()
+        k = lines.index("30.0,180.0,-3.01029995664,-3.01029995664")
+        lines[k] = "30.0,180.0,0,0"
+        dist.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        code, out, err = run(capsys, ["trp", str(dist)])
+        assert code == 1 and out == ""
+        assert err == (f"error: {dist}:{k + 1}: conflicting duplicate samples "
+                       f"at (theta=30.0, phi=180.0) deg\n")
 
 
 class TestNonFiniteArguments:
@@ -249,6 +299,12 @@ class TestPipelines:
         from cvrpkit import cvrp_sweep
         lib = cvrp_sweep(p, Direction(0, 0), (180.0, 90.0, 30.0, 0.0))
         np.testing.assert_allclose(sweep.cvrp_mw, lib.cvrp_mw, rtol=1e-9)
+
+    def test_sweep_empty_fov_list_is_domain_error(self, tmp_path, capsys, pattern_file):
+        out = tmp_path / "sw.csv"
+        code, stdout, err = run(capsys, ["sweep", pattern_file, "--fovs", ",", "-o", str(out)])
+        assert (code, stdout, err) == (1, "", "error: a sweep needs at least one FoV\n")
+        assert not out.exists()
 
     def test_sweep_cap_between_pole_rings_names_cap_and_step(self, tmp_path, capsys):
         # on a 5 deg grid the default 3 deg cap at the pole holds only the

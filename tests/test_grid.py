@@ -3,7 +3,6 @@ import pytest
 
 from cvrpkit.grid import (
     AngularGrid,
-    Convention,
     Direction,
     angular_distance_deg,
 )
@@ -36,13 +35,6 @@ def test_standard_step_must_divide_circle(dtheta, dphi, message):
         AngularGrid.standard(dtheta, dphi)
 
 
-def test_distributed_grid_is_full_sphere():
-    with pytest.raises(ValueError, match="dphi_deg=7 must divide 180 degrees"):
-        AngularGrid(1.5, 7.0, Convention.DISTRIBUTED)
-    g = AngularGrid(1.5, 1.5, Convention.DISTRIBUTED)
-    assert (g.theta_deg[0], g.theta_deg[-1], g.phi_deg[-1]) == (-180.0, 178.5, 180.0)
-
-
 def test_axes_derive_from_steps():
     with pytest.raises(TypeError):
         AngularGrid(1.5 * np.arange(121), 1.5 * np.arange(240), 1.5, 1.5)
@@ -51,31 +43,23 @@ def test_axes_derive_from_steps():
         g.theta_deg[1] = 3.1
 
 
-def test_grids_compare_and_hash_by_steps_and_convention():
+def test_grids_compare_and_hash_by_steps():
     assert AngularGrid.standard() == AngularGrid(1.5, 1.5)
     assert hash(AngularGrid.standard()) == hash(AngularGrid(1.5, 1.5))
     assert AngularGrid(1.5, 1.5) != AngularGrid(1.5, 3.0)
     assert AngularGrid(1.5, 1.5) != AngularGrid(3.0, 1.5)
-    assert AngularGrid(1.5, 1.5) != AngularGrid(1.5, 1.5, Convention.DISTRIBUTED)
     assert len({AngularGrid.standard(), AngularGrid(1.5, 1.5), AngularGrid(3.0, 3.0)}) == 2
 
 
-def test_quadrature_needs_standard_grid():
-    g = AngularGrid(15.0, 15.0, Convention.DISTRIBUTED)
-    with pytest.raises(ValueError, match="standard-convention grid"):
-        g.integrate(np.ones(g.n_theta))
-
-
-@pytest.mark.parametrize("convention", list(Convention))
-def test_cell_count_bounded(convention):
-    # 0.05 deg steps: 3601 x 7200 or 7200 x 3601 cells, within 2**25
-    g = AngularGrid(0.05, 0.05, convention)
+def test_cell_count_bounded():
+    # 0.05 deg steps: 3601 x 7200 cells, within 2**25
+    g = AngularGrid(0.05, 0.05)
     assert g.n_theta * g.n_phi == 25_927_200
     with pytest.raises(ValueError, match=r"a 0\.04 x 0\.04 deg grid has 40\d{6} cells, "
                                          r"more than the limit of 33554432"):
-        AngularGrid(0.04, 0.04, convention)
+        AngularGrid(0.04, 0.04)
     with pytest.raises(ValueError, match="more than the limit"):
-        AngularGrid(5e-324, 1.5, convention)  # 180 / step overflows to inf
+        AngularGrid(5e-324, 1.5)  # 180 / step overflows to inf
 
 
 def test_direction_normalization():

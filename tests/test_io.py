@@ -14,7 +14,7 @@ from cvrpkit import (
     write_pattern,
     write_sweep_csv,
 )
-from cvrpkit.grid import AngularGrid, Convention, Direction
+from cvrpkit.grid import Direction
 from cvrpkit.patternio import FORMAT_VERSION
 
 TOY = """\
@@ -35,9 +35,10 @@ theta_deg,phi_deg,eirp_theta_dbm,eirp_phi_dbm
 
 BODY = TOY.partition("eirp_phi_dbm\n")[2]
 
-# TOY on distributed axes: theta -90..90, phi 0..180.
+# TOY on distributed axes, theta -180..90 and phi 0..180, without the
+# theta = -180 row, the only one that samples the south pole.
 DISTRIBUTED = TOY.replace("convention: standard", "convention: distributed").replace(
-    "180,0,-10,-inf\n180,180,-10,-inf\n", "-90,0,-10,-inf\n-90,180,-10,-inf\n")
+    "180,0,-10,-inf\n180,180,-10,-inf\n", "-90,0,-inf,0\n-90,180,10,0\n")
 BODY_DISTRIBUTED = DISTRIBUTED.partition("eirp_phi_dbm\n")[2]
 
 # TOY as the writer spells it: the writer prints 12 significant digits.
@@ -53,7 +54,6 @@ def write_toy(tmp_path, text=TOY, name="toy.csv"):
 class TestReadPattern:
     def test_toy_values(self, tmp_path):
         p = read_pattern(write_toy(tmp_path))
-        assert p.grid.convention is Convention.STANDARD
         assert p.frequency_hz == 2.8e10
         np.testing.assert_allclose(p.grid.theta_deg, [0.0, 90.0, 180.0])
         np.testing.assert_allclose(p.grid.phi_deg, [0.0, 180.0])
@@ -213,14 +213,27 @@ class TestReadPattern:
             read_pattern(write_toy(tmp_path, TOY + row + "\n"))
 
     def test_distributed_convention(self, tmp_path):
-        # A distributed file is read onto the full sphere of its steps; the
-        # theta = -180 row it leaves out is unmeasured.
+        # A distributed file is read onto the standard grid of its steps; the
+        # south pole, which only the left-out theta = -180 row samples, is
+        # unmeasured.
         p = read_pattern(write_toy(tmp_path, DISTRIBUTED))
-        assert p.grid.convention is Convention.DISTRIBUTED
-        assert p.grid.theta_deg.tolist() == [-180.0, -90.0, 0.0, 90.0]
-        assert p.grid.phi_deg.tolist() == [0.0, 180.0]
-        assert p.measured.tolist() == [[False, False], [True, True], [True, True], [True, True]]
-        assert p.eirp_theta_mw[1, 0] == 0.1 and p.eirp_theta_mw[3, 0] == 10.0
+        ref = read_pattern(write_toy(tmp_path, name="ref.csv"))
+        assert p.grid == ref.grid
+        assert p.measured.tolist() == [[True, True], [True, True], [False, False]]
+        assert np.array_equal(p.eirp_theta_mw[:2], ref.eirp_theta_mw[:2])
+        assert np.array_equal(p.eirp_phi_mw[:2], ref.eirp_phi_mw[:2])
+        assert p.total_mw[2].tolist() == [0.0, 0.0]
+
+    def test_distributed_phi_step_must_divide_180(self, tmp_path):
+        # 120 deg divides 360 but not 180
+        text = DISTRIBUTED.replace("dphi_deg: 180", "dphi_deg: 120")
+        with pytest.raises(ValueError, match=r"toy\.csv: dphi_deg=120 must divide 180 degrees"):
+            read_pattern(write_toy(tmp_path, text))
+
+    def test_distributed_duplicate_row_rejected_with_line(self, tmp_path):
+        with pytest.raises(ValueError, match=r"toy\.csv:13: duplicate sample at theta=-90\.0, "
+                                             r"phi=180\.0"):
+            read_pattern(write_toy(tmp_path, DISTRIBUTED + "-90,180,10,0\n"))
 
     @pytest.mark.parametrize("text", [TOY, DISTRIBUTED])
     def test_fine_steps_rejected_before_allocation(self, tmp_path, text):
@@ -255,8 +268,8 @@ class TestReadPattern:
     def test_distributed_single_theta_reads(self, tmp_path):
         text = DISTRIBUTED.replace(BODY_DISTRIBUTED, "90,0,10,0\n90,180,-inf,0\n")
         p = read_pattern(write_toy(tmp_path, text))
-        assert p.measured.tolist() == [[False, False]] * 3 + [[True, True]]
-        assert p.eirp_theta_mw[3].tolist() == [10.0, 0.0]
+        assert p.measured.tolist() == [[False, False], [True, True], [False, False]]
+        assert p.eirp_theta_mw[1].tolist() == [10.0, 0.0]
 
     def test_non_utf8_rejected_with_path(self, tmp_path):
         f = tmp_path / "toy.csv"

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cvrpkit import read_pattern, read_sweep_csv
-from test_io import TOY
+from test_io import DISTRIBUTED, TOY
 
 SWEEP = "# label: demo\nfov_deg,cvrp_dbm\n180,3.01029995664\n90,0\n30,-7.5\n0,-inf\n"
 
@@ -50,6 +50,12 @@ def _read_or_name_path(reader, tmp_path_factory, data: bytes) -> None:
 @settings(max_examples=300, deadline=None)
 @given(data=_mutated(TOY))
 def test_mutated_pattern_file(tmp_path_factory, data):
+    _read_or_name_path(read_pattern, tmp_path_factory, data)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=_mutated(DISTRIBUTED))
+def test_mutated_distributed_pattern_file(tmp_path_factory, data):
     _read_or_name_path(read_pattern, tmp_path_factory, data)
 
 

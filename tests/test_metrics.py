@@ -260,6 +260,14 @@ class TestSweep:
         with pytest.raises(ValueError, match="decreasing"):
             cvrp_sweep(iso_pattern, Direction(0, 0), (30.0, 30.0))
 
+    def test_empty_fov_list_rejected(self, iso_pattern):
+        with pytest.raises(ValueError, match="^a sweep needs at least one FoV$"):
+            cvrp_sweep(iso_pattern, Direction(0, 0), ())
+
+    def test_empty_sweep_rejected(self):
+        with pytest.raises(ValueError, match="^a sweep needs at least one FoV$"):
+            CvrpSweep(())
+
     def test_sweep_dataclass_validation(self):
         with pytest.raises(ValueError, match="decreasing"):
             CvrpSweep(((30.0, 1.0), (90.0, 1.0)))

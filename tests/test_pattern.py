@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -11,128 +12,136 @@ from cvrpkit import (
     PolarizedPattern,
     fill_unmeasured,
     isotropic,
+    read_pattern,
     remap_to_standard,
     rotate_about_y,
     sample_bilinear,
     synthesize_eirp,
     trp,
 )
-from cvrpkit.grid import ANGLE_TOL_DEG, AngularGrid, Convention, Direction
+from cvrpkit.grid import ANGLE_TOL_DEG, AngularGrid, Direction
 
 from oracles import (
+    distributed_axes,
     rotate_about_y_reference,
     rotated_measured_reference,
     sample_component_reference,
     sph_to_unit,
+    write_distributed,
 )
 
 
-def make_distributed(value_mw=1.0, dtheta=1.5, dphi=1.5):
-    """The full distributed grid, measured for |theta| <= 171 deg only."""
-    g = AngularGrid(dtheta, dphi, Convention.DISTRIBUTED)
-    meas = np.broadcast_to((np.abs(g.theta_deg) <= 171.0)[:, None], (g.n_theta, g.n_phi))
-    half = np.where(meas, value_mw / 2.0, 0.0)
-    return PolarizedPattern(g, half, half.copy(), label="dist", measured=meas)
+def node(axis, value):
+    return int(np.flatnonzero(axis == value)[0])
 
 
-def set_cell(p, i, j, vt, vp):
-    et = p.eirp_theta_mw.copy()
-    ep = p.eirp_phi_mw.copy()
-    et[i, j] = vt
-    ep[i, j] = vp
-    return PolarizedPattern(p.grid, et, ep, p.frequency_hz, p.label, p.measured)
+def write_uniform(path, value_mw, cells=None, dtheta=1.5, dphi=1.5):
+    """A distributed file of value_mw split evenly between polarizations,
+    measured for |theta| <= 171 deg only, except that cells maps some
+    (theta, phi) to other (EIRP_theta, EIRP_phi). Returns the measured
+    mask on the distributed axes and the file line of each cell."""
+    theta, phi = distributed_axes(dtheta, dphi)
+    meas = np.broadcast_to((np.abs(theta) <= 171.0)[:, None], (theta.size, phi.size))
+    et = np.where(meas, value_mw / 2.0, 0.0)
+    ep = et.copy()
+    for (t, ph), (vt, vp) in (cells or {}).items():
+        et[node(theta, t), node(phi, ph)] = vt
+        ep[node(theta, t), node(phi, ph)] = vp
+    *_, lines = write_distributed(str(path), dtheta, dphi, et, ep, meas)
+    return meas, lines
 
 
-def remap_oracle(p):
-    """Loop form of remap_to_standard (its checks left out), the reference
-    for the array version: the first measured sample in row-major source
-    order fills a standard cell, and each pole row takes the value of its
-    first measured column."""
-    g = p.grid
-    dt, dp = g.dtheta_deg, g.dphi_deg
-    out = AngularGrid.standard(dt, dp)
+def remap_oracle(dtheta, dphi, et, ep, src_meas):
+    """Loop form of the placement of distributed rows on the standard grid
+    (its checks left out), the reference for read_pattern: the first
+    measured sample in theta-major source order fills a standard cell,
+    and each pole row takes the value of its first measured column.
+    Also returns the distributed cells whose samples are kept."""
+    theta, phi = distributed_axes(dtheta, dphi)
+    out = AngularGrid.standard(dtheta, dphi)
     n_t, n_p = out.n_theta, out.n_phi
-    et = np.zeros((n_t, n_p))
-    ep = np.zeros((n_t, n_p))
+    et_std = np.zeros((n_t, n_p))
+    ep_std = np.zeros((n_t, n_p))
     meas = np.zeros((n_t, n_p), dtype=bool)
-    src_meas = p.measured_mask()
-    for i, theta in enumerate(g.theta_deg):
-        t_std, p_off = (theta, 0.0) if theta >= -1e-9 else (-theta, 180.0)
-        it = round(t_std / dt)
-        for j, phi in enumerate(g.phi_deg):
-            jt = round(((phi + p_off) % 360.0) / dp) % n_p
+    kept = {}
+    for i, t in enumerate(theta):
+        t_std, p_off = (t, 0.0) if t >= -1e-9 else (-t, 180.0)
+        it = round(t_std / dtheta)
+        for j, ph in enumerate(phi):
+            jt = round(((ph + p_off) % 360.0) / dphi) % n_p
             if src_meas[i, j] and not meas[it, jt]:
-                et[it, jt] = p.eirp_theta_mw[i, j]
-                ep[it, jt] = p.eirp_phi_mw[i, j]
+                et_std[it, jt] = et[i, j]
+                ep_std[it, jt] = ep[i, j]
                 meas[it, jt] = True
+                kept[it, jt] = (i, j)
     for it in (0, n_t - 1):
         cols = np.nonzero(meas[it])[0]
         if cols.size:
-            et[it, :] = et[it, cols[0]]
-            ep[it, :] = ep[it, cols[0]]
+            et_std[it, :] = et_std[it, cols[0]]
+            ep_std[it, :] = ep_std[it, cols[0]]
             meas[it, :] = True
-    return et, ep, meas
+            for c in cols[1:]:
+                del kept[it, c]
+    return et_std, ep_std, meas, set(kept.values())
 
 
 def random_field(rng, dtheta=1.5, dphi=1.5):
-    """A random field on physical directions on the full distributed
-    grid, so duplicates agree, with per-sample noise of 1e-12 relative:
-    within the duplicate tolerance, but it shows which duplicate the
-    remap keeps. Returns the grid, both polarizations and the axes."""
-    g = make_distributed(0.0, dtheta, dphi).grid
+    """A random field on physical directions on the distributed axes, so
+    duplicates agree, with per-sample noise of 1e-12 relative: within the
+    duplicate tolerance, but it shows which duplicate read_pattern keeps.
+    Returns both polarizations and the axes."""
+    theta, phi = distributed_axes(dtheta, dphi)
     std = AngularGrid.standard(dtheta, dphi)
     field = rng.uniform(0.1, 10.0, (2, std.n_theta, std.n_phi))
     field[:, 0, :] = field[:, 0, :1]
     field[:, -1, :] = field[:, -1, :1]
-    tt, pp = np.meshgrid(g.theta_deg, g.phi_deg, indexing="ij")
+    tt, pp = np.meshgrid(theta, phi, indexing="ij")
     it = np.rint(np.abs(tt) / dtheta).astype(int)
     jt = np.rint(np.where(tt < 0, pp + 180.0, pp) % 360.0 / dphi).astype(int) % std.n_phi
     vals = field[:, it, jt] * (1.0 + 1e-12 * rng.uniform(-1, 1, (2,) + tt.shape))
-    return g, vals[0], vals[1], tt, pp
+    return vals[0], vals[1], tt, pp
 
 
-def assert_matches_oracle(p):
-    """remap_to_standard(p) equals remap_oracle(p); returns the measured mask."""
-    out = remap_to_standard(p)
-    et, ep, meas = remap_oracle(p)
-    np.testing.assert_array_equal(out.eirp_theta_mw, et)
-    np.testing.assert_array_equal(out.eirp_phi_mw, ep)
-    np.testing.assert_array_equal(out.measured_mask(), meas)
-    return meas
+def assert_matches_oracle(path, dtheta, dphi, et, ep, measured, rng=None):
+    """read_pattern of the distributed file of these arrays equals the
+    loop oracle; returns the pattern read, the cells the oracle keeps and
+    the file line of each cell."""
+    et, ep, lines = write_distributed(str(path), dtheta, dphi, et, ep, measured, rng)
+    p = read_pattern(str(path))
+    want_t, want_p, want_m, kept = remap_oracle(dtheta, dphi, et, ep, measured)
+    np.testing.assert_array_equal(p.eirp_theta_mw, want_t)
+    np.testing.assert_array_equal(p.eirp_phi_mw, want_p)
+    got_m = np.ones(want_m.shape, dtype=bool) if p.measured is None else p.measured
+    np.testing.assert_array_equal(got_m, want_m)
+    return p, kept, lines
 
 
 class TestRemap:
-    def test_negative_theta_reflects_azimuth(self):
-        p = make_distributed(0.0)
-        i = np.where(p.grid.theta_deg == -30.0)[0][0]
-        j = np.where(p.grid.phi_deg == 42.0)[0][0]
-        p = set_cell(p, i, j, 5.0, 0.0)
-        std = remap_to_standard(p)
-        it = np.where(std.grid.theta_deg == 30.0)[0][0]
-        jt = np.where(std.grid.phi_deg == 222.0)[0][0]
-        assert std.eirp_theta_mw[it, jt] == 5.0
+    def test_negative_theta_reflects_azimuth(self, tmp_path):
+        write_uniform(tmp_path / "d.csv", 0.0, {(-30.0, 42.0): (10.0, 0.0)})
+        std = read_pattern(str(tmp_path / "d.csv"))
+        it = node(std.grid.theta_deg, 30.0)
+        jt = node(std.grid.phi_deg, 222.0)
+        assert std.eirp_theta_mw[it, jt] == 10.0
 
-    def test_positive_theta_unchanged(self):
-        p = make_distributed(0.0)
-        i = np.where(p.grid.theta_deg == 30.0)[0][0]
-        j = np.where(p.grid.phi_deg == 42.0)[0][0]
-        p = set_cell(p, i, j, 5.0, 0.0)
-        std = remap_to_standard(p)
-        it = np.where(std.grid.theta_deg == 30.0)[0][0]
-        jt = np.where(std.grid.phi_deg == 42.0)[0][0]
-        assert std.eirp_theta_mw[it, jt] == 5.0
+    def test_positive_theta_unchanged(self, tmp_path):
+        write_uniform(tmp_path / "d.csv", 0.0, {(30.0, 42.0): (10.0, 0.0)})
+        std = read_pattern(str(tmp_path / "d.csv"))
+        it = node(std.grid.theta_deg, 30.0)
+        jt = node(std.grid.phi_deg, 42.0)
+        assert std.eirp_theta_mw[it, jt] == 10.0
 
-    def test_isotropic_coverage_by_unit_vectors(self):
+    def test_isotropic_coverage_by_unit_vectors(self, tmp_path):
         # Direction-by-direction oracle: a standard node is covered iff
         # some measured distributed node's unit vector lies within 1e-9 of it.
         # Checked in blocks of nodes: |a - b| < 1e-9 implies a.b > 1 - 1e-18,
         # so keeping pairs with a.b > 1 - 1e-12 loses no covered pair, and
         # the exact norm then decides each kept pair.
-        p = make_distributed(1.0)
-        std = remap_to_standard(p)
-        g, gd = std.grid, p.grid
-        src = sph_to_unit(*np.meshgrid(gd.theta_deg, gd.phi_deg, indexing="ij"))
-        src = src[p.measured_mask()]
+        meas, _ = write_uniform(tmp_path / "d.csv", 1.0)
+        std = read_pattern(str(tmp_path / "d.csv"))
+        g = std.grid
+        src = sph_to_unit(*np.meshgrid(*distributed_axes(1.5, 1.5), indexing="ij"))
+        src = src[meas]
         dst = sph_to_unit(*np.meshgrid(g.theta_deg, g.phi_deg, indexing="ij"))
         dst = dst.reshape(-1, 3)
         covered = np.zeros(len(dst), dtype=bool)
@@ -142,72 +151,84 @@ class TestRemap:
             hit = np.linalg.norm(src[k] - block[i], axis=1) < 1e-9
             covered[start + i[hit]] = True
         covered = covered.reshape(g.n_theta, g.n_phi)
-        np.testing.assert_array_equal(std.measured_mask(), covered)
+        np.testing.assert_array_equal(std.measured, covered)
         np.testing.assert_allclose(std.total_mw, np.where(covered, 1.0, 0.0),
-                                   rtol=0.0, atol=1e-12)
+                                   rtol=0.0, atol=1e-11)
 
-    def test_round_trip_reproduces_measured_samples(self):
+    def test_round_trip_reproduces_measured_samples(self, tmp_path):
         # values defined on physical directions, so the duplicate columns
-        # (phi 0/180 reflections) stay consistent under the remap
-        p = make_distributed(0.0)
-        tt, pp = np.meshgrid(p.grid.theta_deg, p.grid.phi_deg, indexing="ij")
+        # (phi 0/180 reflections) stay consistent under the placement
+        theta, phi = distributed_axes(1.5, 1.5)
+        tt, pp = np.meshgrid(theta, phi, indexing="ij")
         u = sph_to_unit(tt, pp)
         vals = 1.0 + 0.5 * u[..., 0] + 0.3 * u[..., 1] ** 2 + 0.2 * u[..., 2]
-        p = PolarizedPattern(p.grid, vals, 2.0 * vals, label="smooth")
-        std = remap_to_standard(p)
-        dp = p.grid.dphi_deg
-        for i, theta in enumerate(p.grid.theta_deg):
-            for j, phi in enumerate(p.grid.phi_deg):
-                if theta >= 0:
-                    t_std, p_std = theta, phi
-                else:
-                    t_std, p_std = -theta, (phi + 180.0) % 360.0
-                it = round(t_std / p.grid.dtheta_deg)
-                jt = round(p_std / dp) % std.grid.n_phi
+        vt, vp, _ = write_distributed(str(tmp_path / "d.csv"), 1.5, 1.5, vals, 2.0 * vals)
+        std = read_pattern(str(tmp_path / "d.csv"))
+        for i, t in enumerate(theta):
+            for j, ph in enumerate(phi):
+                t_std, p_std = (t, ph) if t >= 0 else (-t, (ph + 180.0) % 360.0)
+                it = round(t_std / 1.5)
+                jt = round(p_std / 1.5) % std.grid.n_phi
                 # pole rows collapse to one physical value; skip them here
                 if 0 < it < std.grid.n_theta - 1:
-                    assert std.eirp_theta_mw[it, jt] == pytest.approx(
-                        vals[i, j], rel=1e-12)
-                    assert std.eirp_phi_mw[it, jt] == pytest.approx(
-                        2.0 * vals[i, j], rel=1e-12)
+                    assert std.eirp_theta_mw[it, jt] == pytest.approx(vt[i, j], rel=1e-11)
+                    assert std.eirp_phi_mw[it, jt] == pytest.approx(vp[i, j], rel=1e-11)
 
-    def test_conflicting_duplicates_rejected(self):
-        p = make_distributed(1.0)
-        # distributed (-30, 0) and (30, 180) are the same physical direction
-        i1 = np.where(p.grid.theta_deg == -30.0)[0][0]
-        j1 = np.where(p.grid.phi_deg == 0.0)[0][0]
-        p = set_cell(p, i1, j1, 7.0, 0.5)
-        with pytest.raises(ValueError, match="conflicting duplicate"):
-            remap_to_standard(p)
+    def test_conflicting_duplicates_rejected_at_later_row(self, tmp_path):
+        # distributed (-30, 0) and (30, 180) are the same physical direction;
+        # the first in theta-major order is kept, so the later row conflicts
+        _, lines = write_uniform(tmp_path / "d.csv", 1.0, {(30.0, 180.0): (7.0, 0.5)})
+        line = lines[node(distributed_axes(1.5, 1.5)[0], 30.0), 120]
+        with pytest.raises(ValueError, match=rf"d\.csv:{line}: conflicting duplicate samples "
+                                             rf"at \(theta=30\.0, phi=180\.0\) deg$"):
+            read_pattern(str(tmp_path / "d.csv"))
 
-    def test_conflicting_pole_samples_rejected(self):
-        p = make_distributed(1.0)
+    def test_conflicting_pole_samples_rejected(self, tmp_path):
         # every phi of the theta = 0 row is the north pole
-        i = np.where(p.grid.theta_deg == 0.0)[0][0]
-        j = np.where(p.grid.phi_deg == 42.0)[0][0]
-        p = set_cell(p, i, j, 0.9, 0.5)
-        with pytest.raises(ValueError, match="conflicting duplicate samples at pole theta=0"):
-            remap_to_standard(p)
+        _, lines = write_uniform(tmp_path / "d.csv", 1.0, {(0.0, 42.0): (0.9, 0.5)})
+        line = lines[node(distributed_axes(1.5, 1.5)[0], 0.0), 28]
+        with pytest.raises(ValueError, match=rf"d\.csv:{line}: conflicting duplicate samples "
+                                             rf"at pole theta=0\.0 deg$"):
+            read_pattern(str(tmp_path / "d.csv"))
 
-    def test_matches_loop_oracle(self):
-        g, vt, vp, tt, pp = random_field(np.random.default_rng(7))
+    def test_matches_loop_oracle(self, tmp_path):
+        vt, vp, tt, pp = random_field(np.random.default_rng(7))
         blind = (tt > 100) & (tt < 115) & (pp > 40) & (pp < 70)
-        p = PolarizedPattern(g, vt, vp, label="random", measured=~blind)
-        assert not assert_matches_oracle(p).all()
+        p, _, _ = assert_matches_oracle(tmp_path / "d.csv", 1.5, 1.5, vt, vp, ~blind)
+        assert p.measured is not None and p.label == "dist"
 
     @settings(max_examples=60, deadline=None)
     @given(n_t=st.integers(2, 120), n_p=st.integers(2, 120),
            seed=st.integers(0, 2 ** 32 - 1), density=st.floats(0.0, 1.0))
-    def test_matches_loop_oracle_on_any_steps(self, n_t, n_p, seed, density):
-        # Steps 180/n from 1.5 to 90 deg, and a random measured mask.
+    def test_matches_loop_oracle_on_any_steps(self, tmp_path_factory, n_t, n_p, seed, density):
+        # Steps 180/n from 1.5 to 90 deg, a random measured set of rows in
+        # theta-major and in shuffled order, and one duplicate perturbed.
         rng = np.random.default_rng(seed)
-        g, vt, vp, _, _ = random_field(rng, 180.0 / n_t, 180.0 / n_p)
+        dt, dp = 180.0 / n_t, 180.0 / n_p
+        vt, vp, _, _ = random_field(rng, dt, dp)
         measured = rng.uniform(size=vt.shape) < density
-        assert_matches_oracle(PolarizedPattern(g, vt, vp, measured=measured))
+        measured.flat[rng.integers(measured.size)] = True  # a file needs one row
+        d = tmp_path_factory.getbasetemp()
+        p, kept, _ = assert_matches_oracle(d / "sorted.csv", dt, dp, vt, vp, measured)
+        q, _, lines = assert_matches_oracle(d / "shuffled.csv", dt, dp, vt, vp, measured, rng)
+        assert np.array_equal(q.eirp_theta_mw, p.eirp_theta_mw)
+        assert np.array_equal(q.eirp_phi_mw, p.eirp_phi_mw)
+        assert np.array_equal(q.total_mw, p.total_mw)
+        duplicates = [c for c in zip(*np.nonzero(measured)) if c not in kept]
+        if duplicates:
+            i, j = duplicates[rng.integers(len(duplicates))]
+            vt[i, j] *= 1.0 + 1e-6
+            path = d / "perturbed.csv"
+            _, _, lines = write_distributed(str(path), dt, dp, vt, vp, measured, rng)
+            with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}:{lines[i, j]}: "
+                                                 "conflicting duplicate samples at "):
+                read_pattern(str(path))
 
-    def test_standard_input_rejected(self):
-        with pytest.raises(ValueError, match="distributed"):
-            remap_to_standard(isotropic(1.0))
+    def test_remap_to_standard_is_identity(self, tmp_path):
+        # every pattern is standard; remap_to_standard(read_pattern(f)) still works
+        write_uniform(tmp_path / "d.csv", 1.0)
+        p = read_pattern(str(tmp_path / "d.csv"))
+        assert remap_to_standard(p) is p
 
 
 class TestValidation:
@@ -228,9 +249,9 @@ class TestValidation:
 
 
 class TestFill:
-    def test_back_hemisphere_zero_fill(self):
-        p = make_distributed(1.0)
-        std = remap_to_standard(p)
+    def test_back_hemisphere_zero_fill(self, tmp_path):
+        write_uniform(tmp_path / "d.csv", 1.0)
+        std = read_pattern(str(tmp_path / "d.csv"))
         filled = fill_unmeasured(std, 0.0)
         assert filled.measured is None
         gap = std.grid.theta_deg > 171.0
