@@ -225,12 +225,13 @@ def read_pattern(path: str) -> PolarizedPattern:
     theta0, n_i, n_j = (-180.0, 2 * n_t - 2, n_p // 2 + 1) if distributed else (0.0, n_t, n_p)
     i = _node_indices(rows[:, 0], theta0, n_i, dtheta, "theta", row_error)
     j = _node_indices(rows[:, 1], 0.0, n_j, dphi, "phi", row_error)
-    source = i * n_j + j  # the row's cell on the file's axes
-    seen = np.zeros(n_i * n_j, dtype=bool)
-    seen[source] = True
-    if np.count_nonzero(seen) < source.size:
-        _, first = np.unique(source, return_index=True)
-        k = int(np.setdiff1d(np.arange(source.size), first)[0])
+    cells = i * n_j + j  # the row's cell on the file's axes
+    # A standard file's axes are the grid's, so its rows mark meas directly.
+    seen = np.zeros(n_i * n_j, dtype=bool) if distributed else meas.reshape(-1)
+    seen[cells] = True
+    if np.count_nonzero(seen) < cells.size:
+        _, first = np.unique(cells, return_index=True)
+        k = int(np.setdiff1d(np.arange(cells.size), first)[0])
         raise row_error(k, f"duplicate sample at theta={float(rows[k, 0])}, "
                            f"phi={float(rows[k, 1])}")
     if distributed:
@@ -238,8 +239,8 @@ def read_pattern(path: str) -> PolarizedPattern:
         # pole (theta < 0) column j is standard column j + n_phi/2.
         back = i < n_t - 1
         i, j = np.abs(i - (n_t - 1)), (j + back * (n_p // 2)) % n_p
-    cells = i * n_p + j
-    meas.flat[cells] = True
+        cells = i * n_p + j
+        meas.flat[cells] = True
     et.flat[cells] = rows[:, 2]
     ep.flat[cells] = rows[:, 3]
     if distributed:
