@@ -2,8 +2,8 @@
 
 Builds directivity patterns for a uniformly excited rows x cols lattice of
 cosine or Huygens (cardioid) elements with progressive-phase steering in
-the horizontal broadside plane, optional failed elements, and converts
-directivity to an EIRP pattern matched to a reference TRP.
+the horizontal broadside plane, optional failed elements, and scales
+them to an EIRP pattern matched to a reference TRP.
 """
 
 from __future__ import annotations
@@ -84,7 +84,6 @@ class ArraySpec:
 
 @dataclass(frozen=True)
 class SynthesisResult:
-    directivity_dbi: np.ndarray
     pattern: PolarizedPattern
     spec: ArraySpec
     reference_trp_mw: float
@@ -96,10 +95,10 @@ def element_field(model: ElementModel, theta_deg) -> np.ndarray:
     cosine: cos(theta) for theta <= 90 deg, zero behind;
     Huygens: cardioid (1 + cos(theta)) / 2 everywhere.
     """
-    theta = np.radians(np.asarray(theta_deg, dtype=float))
-    c = np.cos(theta)
+    theta_deg = np.asarray(theta_deg, dtype=float)
+    c = np.cos(np.radians(theta_deg))
     if model is ElementModel.COSINE:
-        return np.where(np.degrees(theta) <= 90.0, c, 0.0)
+        return np.where(theta_deg <= 90.0, c, 0.0)
     return (1.0 + c) / 2.0
 
 
@@ -138,39 +137,38 @@ def _radiation_intensity(spec: ArraySpec, grid: AngularGrid) -> np.ndarray:
             if c:
                 row_sum += c
         af += row_sum
-    field = element_field(spec.element, grid.theta_deg)[:, None] * np.abs(af)
-    return field ** 2
+    field = element_field(spec.element, grid.theta_deg)[:, None]
+    return field ** 2 * (af.real ** 2 + af.imag ** 2)
 
 
 def synthesize_directivity(spec: ArraySpec,
                            grid: AngularGrid | None = None) -> np.ndarray:
-    """Directivity matrix (dBi) on the grid, normalized so that the grid
-    quadrature of linear directivity equals 4*pi."""
-    if grid is None:
-        grid = AngularGrid.standard()
-    intensity = _radiation_intensity(spec, grid)
-    total = grid.integrate(intensity.sum(axis=1))
-    d_lin = FOUR_PI * intensity / total
+    """Directivity matrix (dBi) on the grid: the EIRP in dBm of a 1 mW
+    reference TRP, since directivity is EIRP over TRP. Null cells are -inf."""
+    d_lin = synthesize_eirp(spec, 1.0, grid).pattern.eirp_theta_mw
     with np.errstate(divide="ignore"):
         return 10.0 * np.log10(d_lin)
 
 
 def synthesize_eirp(spec: ArraySpec, reference_trp_mw: float,
                     grid: AngularGrid | None = None) -> SynthesisResult:
-    """EIRP pattern with dBm values reference_trp_dbm + directivity_dbi.
+    """EIRP pattern in mW: |element field x array factor|^2 scaled by
+    4*pi / (its grid quadrature) times the reference TRP.
 
-    All power goes to the theta polarization. Because directivity is
-    normalized on the same grid quadrature, trp(pattern) matches the
-    reference. Failed-element specs keep the same reference, modeling
-    TRP-matched fault comparisons.
+    All power goes to the theta polarization; trp uses the same quadrature,
+    so trp(pattern) matches the reference. Failed-element specs keep the
+    same reference, modeling TRP-matched fault comparisons.
     """
     if not 0 < reference_trp_mw < math.inf:  # NaN fails too
         raise ValueError("reference TRP must be positive and finite")
     if grid is None:
         grid = AngularGrid.standard()
-    d_dbi = synthesize_directivity(spec, grid)
+    intensity = _radiation_intensity(spec, grid)
+    total = grid.integrate(intensity.sum(axis=1))
+    # scale the array first: near the float maximum only nonzero cells
+    # overflow (to inf, which PolarizedPattern rejects); nulls stay 0
     with np.errstate(over="ignore"):
-        eirp_theta = reference_trp_mw * 10.0 ** (d_dbi / 10.0)
+        eirp_theta = (intensity * (FOUR_PI / total)) * reference_trp_mw
     pattern = PolarizedPattern(grid, eirp_theta, np.zeros_like(eirp_theta),
                                spec.frequency_hz, label=spec.describe())
-    return SynthesisResult(d_dbi, pattern, spec, reference_trp_mw)
+    return SynthesisResult(pattern, spec, reference_trp_mw)

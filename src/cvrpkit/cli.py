@@ -140,7 +140,7 @@ def _cmd_cvrp(args) -> int:
 def _cmd_sweep(args) -> int:
     p = patternio.read_pattern(args.input)
     center = _parse_direction(args.center)
-    fovs = _parse_float_list(args.fovs) if args.fovs else DEFAULT_FOV_SWEEP
+    fovs = _parse_float_list(args.fovs) if args.fovs is not None else DEFAULT_FOV_SWEEP
     sweep = metrics.cvrp_sweep(p, center, fovs)
     patternio.write_sweep_csv(sweep, args.output)
     print(f"wrote {args.output}")

@@ -30,15 +30,30 @@ class SweepComparison:
     ref_cvrp_db: tuple[float, ...]
     test_cvrp_db: tuple[float, ...]
     delta_db: tuple[float, ...]
-    max_abs_delta_db: float
-    divergence_fov_deg: float | None
-    flagged: bool
     threshold_db: float
+
+    @property
+    def flags(self) -> tuple[bool, ...]:
+        """Per FoV, whether |delta| exceeds the threshold: the screening rule."""
+        return tuple(abs(d) > self.threshold_db for d in self.delta_db)
+
+    @property
+    def max_abs_delta_db(self) -> float:
+        return max(abs(d) for d in self.delta_db)
+
+    @property
+    def divergence_fov_deg(self) -> float | None:
+        """The widest flagged FoV (FoVs are sorted decreasing), or None."""
+        return next((f for f, flag in zip(self.fov_deg, self.flags) if flag), None)
+
+    @property
+    def flagged(self) -> bool:
+        return any(self.flags)
 
 
 def compare_sweeps(ref: CvrpSweep, test: CvrpSweep,
                    threshold_db: float = DEFAULT_THRESHOLD_DB) -> SweepComparison:
-    """Per-FoV dB deltas (test - ref) and the widest FoV exceeding threshold."""
+    """Per-FoV dB deltas (test - ref), flagged where |delta| exceeds threshold."""
     if not 0 < threshold_db < math.inf:  # NaN fails too
         raise ValueError(f"threshold must be positive and finite, got {threshold_db:g} dB")
     if ref.fov_deg != test.fov_deg:
@@ -46,19 +61,4 @@ def compare_sweeps(ref: CvrpSweep, test: CvrpSweep,
     ref_db = tuple(to_dbm(v) for v in ref.cvrp_mw)
     test_db = tuple(to_dbm(v) for v in test.cvrp_mw)
     delta = tuple(t - r for t, r in zip(test_db, ref_db))
-    divergence = None
-    for fov, d in zip(ref.fov_deg, delta):  # FoVs are sorted decreasing
-        if abs(d) > threshold_db:
-            divergence = fov
-            break
-    return SweepComparison(
-        fov_deg=ref.fov_deg,
-        ref_cvrp_db=ref_db,
-        test_cvrp_db=test_db,
-        delta_db=delta,
-        max_abs_delta_db=max(abs(d) for d in delta),
-        divergence_fov_deg=divergence,
-        flagged=divergence is not None,
-        threshold_db=threshold_db,
-    )
-
+    return SweepComparison(ref.fov_deg, ref_db, test_db, delta, threshold_db)

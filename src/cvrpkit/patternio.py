@@ -299,8 +299,8 @@ def write_sweep_csv(s: CvrpSweep | SweepComparison, path: str) -> None:
     elif isinstance(s, SweepComparison):
         rows = zip(s.fov_deg, s.ref_cvrp_db, s.test_cvrp_db, s.delta_db)
         _write_table(path, {}, _COMPARISON_HEADER,
-                     (",".join([*map(_fmt, r), "true" if abs(r[3]) > s.threshold_db else "false"])
-                      for r in rows))
+                     (",".join([*map(_fmt, r), "true" if flag else "false"])
+                      for r, flag in zip(rows, s.flags)))
     else:
         raise TypeError(f"cannot write {type(s).__name__} as a sweep CSV")
 

@@ -167,7 +167,7 @@ def analytic_cap_cvrp(spec: ArraySpec, reference_trp_mw: float, center: Directio
     Each cap is integrated in cap-centred coordinates: 64 Gauss-Legendre
     nodes in cos(rho) times 128 equispaced azimuths. The intensity is
     normalized by its Riemann sum on the 1.5 deg grid, the total that
-    synthesize_directivity divides by, so the result is the mean EIRP the
+    synthesize_eirp divides by, so the result is the mean EIRP the
     grid pattern would have if it were known between the nodes.
     """
     total, _ = fine_grid_quadrature(lambda t, p: direct_sum_intensity(spec, t, p), 1.5)

@@ -217,8 +217,8 @@ class TestEirp:
 
     @pytest.mark.parametrize("element", list(ElementModel), ids=lambda e: e.value)
     def test_trp_within_ulps_of_reference(self, element):
-        # directivity and TRP share one quadrature; only the dB round trip
-        # and the 4*pi divisions separate trp from the reference
+        # the EIRP scaling and trp share one quadrature; only the rounding of
+        # the 4*pi / total scaling and of trp's own sum separate the two
         for scan in (-45.0, -13.5, 0.0, 27.0):
             for failed in FAULT_CASES:
                 spec = ArraySpec(element=element, scan_angle_deg=scan,
@@ -230,12 +230,23 @@ class TestEirp:
     def test_theta_polarized(self, huygens_boresight):
         assert np.all(huygens_boresight.pattern.eirp_phi_mw == 0.0)
 
-    def test_eirp_is_ref_times_directivity(self, cosine_boresight):
-        res = cosine_boresight
-        np.testing.assert_allclose(
-            res.pattern.eirp_theta_mw,
-            res.reference_trp_mw * 10 ** (res.directivity_dbi / 10.0),
-            rtol=1e-12)
+    @pytest.mark.parametrize("element, failed", [
+        (ElementModel.COSINE, frozenset()),  # nulls: the back hemisphere
+        (ElementModel.COSINE, frozenset({14, 7})),
+        (ElementModel.HUYGENS, frozenset({14, 7})),
+    ], ids=["cosine", "cosine-fe-7-14", "huygens-fe-7-14"])
+    def test_eirp_is_ref_times_directivity(self, element, failed):
+        spec = ArraySpec(element=element, scan_angle_deg=-45.0, failed_elements=failed)
+        ref = 251.188643150958
+        d_dbi = synthesize_directivity(spec)
+        p = synthesize_eirp(spec, ref).pattern
+        eirp = p.eirp_theta_mw
+        np.testing.assert_allclose(eirp, ref * 10 ** (d_dbi / 10.0), rtol=1e-12)
+        # a null (-inf dBi) is exactly 0 mW, not a rounding residue
+        nulls = d_dbi == -np.inf
+        assert np.all(eirp[nulls] == 0.0) and np.all(eirp[~nulls] > 0.0)
+        if element is ElementModel.COSINE:
+            assert np.all(nulls[p.grid.theta_deg > 90.0])
 
     def test_reference_must_be_positive(self):
         with pytest.raises(ValueError):

@@ -81,6 +81,8 @@ class TestSynth:
     @pytest.mark.parametrize("dbm, message", [
         ("4000", "--trp-ref-dbm 4000 overflows linear power"),
         ("3070", "EIRP values must be finite"),  # 1e307 mW times the peak gain is inf
+        # 1.78e308 mW: only the nonzero cells overflow; no null cell becomes NaN
+        ("3082.5", "EIRP values must be finite"),
         ("inf", "reference TRP must be positive and finite"),
         ("nan", "reference TRP must be positive and finite"),
     ])
@@ -300,9 +302,10 @@ class TestPipelines:
         lib = cvrp_sweep(p, Direction(0, 0), (180.0, 90.0, 30.0, 0.0))
         np.testing.assert_allclose(sweep.cvrp_mw, lib.cvrp_mw, rtol=1e-9)
 
-    def test_sweep_empty_fov_list_is_domain_error(self, tmp_path, capsys, pattern_file):
+    @pytest.mark.parametrize("fovs", [",", ""], ids=["comma", "empty"])
+    def test_sweep_empty_fov_list_is_domain_error(self, tmp_path, capsys, pattern_file, fovs):
         out = tmp_path / "sw.csv"
-        code, stdout, err = run(capsys, ["sweep", pattern_file, "--fovs", ",", "-o", str(out)])
+        code, stdout, err = run(capsys, ["sweep", pattern_file, "--fovs", fovs, "-o", str(out)])
         assert (code, stdout, err) == (1, "", "error: a sweep needs at least one FoV\n")
         assert not out.exists()
 
